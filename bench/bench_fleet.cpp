@@ -9,6 +9,8 @@
 //       ./build/bench_fleet --snapshot-json [output.json]
 //       ./build/bench_fleet --net-json [output.json]
 //       ./build/bench_fleet --fault-json [output.json]
+//       ./build/bench_fleet --help
+// Any other flag prints the usage and exits 2 without running anything.
 //
 // The --snapshot-json mode measures the session snapshot/restore path
 // instead: checkpoint latency, snapshot byte size and restore latency per
@@ -64,21 +66,17 @@ std::unique_ptr<engine::SimSource> make_source(std::uint64_t seed) {
 struct Point {
     std::size_t workers = 0;
     std::size_t sessions = 0;
-    bool batch_fft = false;
     std::size_t frames = 0;
     double seconds = 0.0;
     double fps() const { return seconds > 0.0 ? frames / seconds : 0.0; }
 };
 
 /// One fleet run to completion: `sessions` identical full-pipeline sim
-/// tenants on a host with `workers` shared workers, optionally gathering
-/// every round's range FFTs into cross-session batches.
-Point run_fleet(std::size_t workers, std::size_t sessions,
-                bool batch_fft = false) {
+/// tenants on a host with `workers` shared workers.
+Point run_fleet(std::size_t workers, std::size_t sessions) {
     engine::EngineHost host(engine::HostConfig{}
                                 .with_workers(workers)
-                                .with_max_sessions(sessions)
-                                .with_batch_fft(batch_fft));
+                                .with_max_sessions(sessions));
     for (std::size_t s = 0; s < sessions; ++s)
         host.admit("bench-" + std::to_string(s), session_config(900 + s),
                    make_source(900 + s));
@@ -86,16 +84,14 @@ Point run_fleet(std::size_t workers, std::size_t sessions,
     Point point;
     point.workers = workers;
     point.sessions = sessions;
-    point.batch_fft = batch_fft;
     const auto t0 = std::chrono::steady_clock::now();
     point.frames = host.run();
     const auto t1 = std::chrono::steady_clock::now();
     point.seconds = std::chrono::duration<double>(t1 - t0).count();
-    std::printf("  workers %zu  sessions %zu%s  %5zu frames  %6.2f s  %7.1f "
+    std::printf("  workers %zu  sessions %zu  %5zu frames  %6.2f s  %7.1f "
                 "frames/s\n",
-                point.workers, point.sessions,
-                point.batch_fft ? "  batch" : "       ", point.frames,
-                point.seconds, point.fps());
+                point.workers, point.sessions, point.frames, point.seconds,
+                point.fps());
     return point;
 }
 
@@ -461,22 +457,54 @@ int run_fault_bench(const std::string& path) {
     return report.close();
 }
 
+void print_usage(std::FILE* out) {
+    std::fprintf(out,
+                 "usage: bench_fleet [output.json]\n"
+                 "       bench_fleet --snapshot-json [output.json]\n"
+                 "       bench_fleet --net-json [output.json]\n"
+                 "       bench_fleet --fault-json [output.json]\n"
+                 "       bench_fleet --help\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc > 1 && std::string(argv[1]) == "--net-json") {
-        return run_net_bench(argc > 2 ? argv[2] : "bench/net_ingest.json");
+    // Parse before running anything: a mistyped flag must never be taken
+    // for the output path (or start a minutes-long sweep).
+    std::string mode;
+    const char* path_arg = nullptr;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            print_usage(stdout);
+            return 0;
+        }
+        const bool is_mode = arg == "--snapshot-json" || arg == "--net-json" ||
+                             arg == "--fault-json";
+        if (is_mode && mode.empty() && path_arg == nullptr) {
+            mode = arg;
+        } else if (!arg.empty() && arg[0] != '-' && path_arg == nullptr) {
+            path_arg = argv[i];
+        } else {
+            std::fprintf(stderr, "bench_fleet: unexpected argument '%s'\n",
+                         argv[i]);
+            print_usage(stderr);
+            return 2;
+        }
     }
-    if (argc > 1 && std::string(argv[1]) == "--fault-json") {
-        return run_fault_bench(argc > 2 ? argv[2]
-                                        : "bench/fault_degradation.json");
-    }
-    if (argc > 1 && std::string(argv[1]) == "--snapshot-json") {
-        return run_snapshot_bench(argc > 2 ? argv[2]
-                                           : "bench/snapshot_latency.json");
-    }
+    if (mode == "--net-json")
+        return run_net_bench(path_arg != nullptr ? path_arg
+                                                 : "bench/net_ingest.json");
+    if (mode == "--fault-json")
+        return run_fault_bench(path_arg != nullptr
+                                   ? path_arg
+                                   : "bench/fault_degradation.json");
+    if (mode == "--snapshot-json")
+        return run_snapshot_bench(path_arg != nullptr
+                                      ? path_arg
+                                      : "bench/snapshot_latency.json");
     const std::string path =
-        argc > 1 ? argv[1] : std::string("bench/fleet_throughput.json");
+        path_arg != nullptr ? path_arg : "bench/fleet_throughput.json";
 
     // Warm the shared FFT plan cache once so every configuration pays the
     // same (zero) plan-construction cost, as a long-running server would.
@@ -487,9 +515,6 @@ int main(int argc, char** argv) {
     for (const std::size_t workers : {1u, 2u, 4u})
         for (const std::size_t sessions : {1u, 2u, 4u, 8u})
             points.push_back(run_fleet(workers, sessions));
-    // The batched-FFT schedule: serial host, cross-session batches.
-    for (const std::size_t sessions : {2u, 4u, 8u})
-        points.push_back(run_fleet(1, sessions, /*batch_fft=*/true));
 
     bench::JsonReport report(path, "bench_fleet",
                              "N identical full-pipeline sim sessions "
@@ -506,11 +531,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& p = points[i];
         std::fprintf(out,
-                     "    {\"workers\": %zu, \"sessions\": %zu, \"batch_fft\": "
-                     "%s, \"frames\": %zu, \"seconds\": %.4f, "
+                     "    {\"workers\": %zu, \"sessions\": %zu, "
+                     "\"frames\": %zu, \"seconds\": %.4f, "
                      "\"frames_per_second\": %.1f}%s\n",
-                     p.workers, p.sessions, p.batch_fft ? "true" : "false",
-                     p.frames, p.seconds, p.fps(),
+                     p.workers, p.sessions, p.frames, p.seconds, p.fps(),
                      i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n");

@@ -21,8 +21,9 @@ namespace witrack::engine {
 /// 0 defers to the WITRACK_WORKERS environment variable so CI (and
 /// operators) can flip a whole binary to the parallel schedule without
 /// touching call sites; absent, malformed or absurd (> 256) values mean
-/// serial (1). The one definition shared by the standalone Engine and
-/// EngineHost, so both resolve identically.
+/// serial (1). An explicit count above 256 throws std::invalid_argument.
+/// The one definition shared by the standalone Engine and EngineHost, so
+/// both resolve identically.
 std::size_t resolve_worker_count(std::size_t configured);
 
 struct EngineConfig {

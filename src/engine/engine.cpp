@@ -13,6 +13,11 @@
 namespace witrack::engine {
 
 std::size_t resolve_worker_count(std::size_t configured) {
+    constexpr std::size_t kMaxWorkers = 256;
+    if (configured > kMaxWorkers)
+        throw std::invalid_argument("worker count " + std::to_string(configured) +
+                                    " exceeds the maximum of " +
+                                    std::to_string(kMaxWorkers));
     if (configured > 0) return configured;
     const char* env = std::getenv("WITRACK_WORKERS");
     if (env == nullptr) return 1;
@@ -20,7 +25,6 @@ std::size_t resolve_worker_count(std::size_t configured) {
     const unsigned long value = std::strtoul(env, &end, 10);
     // Malformed, negative (strtoul wraps a leading minus), or absurd values
     // fall back to serial rather than crash spawning threads at startup.
-    constexpr unsigned long kMaxWorkers = 256;
     if (end == env || *end != '\0' || value == 0 || value > kMaxWorkers) return 1;
     return static_cast<std::size_t>(value);
 }
@@ -124,33 +128,7 @@ bool Engine::step() {
 
     result_ = tracker_.process_frame(frame_.sweeps, frame_.time_s,
                                      demanded_outputs());
-    complete_frame();
-    return true;
-}
 
-bool Engine::begin_step(dsp::FftBatch& batch) {
-    // Same admission logic as step(); only the pipeline execution defers.
-    if (state_ == SessionState::kFinished || state_ == SessionState::kEvicted)
-        return false;
-    if (!source_->next(frame_)) {
-        if (state_ == SessionState::kAdmitted || state_ == SessionState::kRunning)
-            state_ = SessionState::kDraining;
-        return false;
-    }
-    if (state_ == SessionState::kAdmitted) state_ = SessionState::kRunning;
-    quality_stats_.accumulate(frame_.sweeps.quality());
-
-    tracker_.stage_frame(frame_.sweeps, frame_.time_s, demanded_outputs(),
-                         batch);
-    return true;
-}
-
-void Engine::finish_step() {
-    result_ = tracker_.finish_frame();
-    complete_frame();
-}
-
-void Engine::complete_frame() {
     // Skip even constructing the event when nobody listens: a headless
     // deployment pays nothing for the publish path.
     if (bus_.subscriber_count<TrackUpdateEvent>() > 0) {
@@ -173,6 +151,7 @@ void Engine::complete_frame() {
     }
 
     ++frames_;
+    return true;
 }
 
 void Engine::run_stage(std::size_t index, EventBus& bus) {

@@ -113,8 +113,6 @@ std::string to_json(const FleetStats& stats) {
                  static_cast<std::uint64_t>(stats.active_sessions));
     append_field(out, "queued_sessions",
                  static_cast<std::uint64_t>(stats.queued_sessions));
-    append_field(out, "fft_batched",
-                 static_cast<std::uint64_t>(stats.fft_batched));
     append_field(out, "sessions_restarted",
                  static_cast<std::uint64_t>(stats.sessions_restarted));
     out += ",\"net\":";
@@ -374,8 +372,7 @@ void EngineHost::settle() {
 
 std::size_t EngineHost::step_all() {
     settle();
-    const std::size_t processed =
-        config_.batch_fft ? round_batched() : round_serial();
+    const std::size_t processed = round_serial();
     watch_health();
     ++rounds_;
     return processed;
@@ -509,92 +506,6 @@ std::size_t EngineHost::round_serial() {
     return processed;
 }
 
-std::size_t EngineHost::round_batched() {
-    std::size_t processed = 0;
-    // Two-phase round: every ready session begin_step()s its frame into the
-    // shared batch, the batch runs once (same-shape transforms across
-    // sessions execute as one lane-interleaved pass), then every staged
-    // session finish_step()s. Stages run during finish may admit new
-    // sessions; those land past `end` and get their own sub-round, so the
-    // fairness contract (one frame per session per round) is preserved.
-    struct Staged {
-        std::size_t index;
-        double begin_s;  ///< this session's own staging wall clock
-    };
-    std::vector<Staged> staged;
-    std::size_t start = 0;
-    while (start < sessions_.size()) {
-        const std::size_t end = sessions_.size();
-        staged.clear();
-        batch_.clear();
-
-        for (std::size_t i = start; i < end; ++i) {
-            Session& session = *sessions_[i];
-            if (session.queued || terminal(session)) continue;
-            if (session.paused) {
-                lag_session(session);
-                continue;
-            }
-            try {
-                const auto t0 = std::chrono::steady_clock::now();
-                const bool produced = session.engine->begin_step(batch_);
-                const auto t1 = std::chrono::steady_clock::now();
-                if (produced) {
-                    staged.push_back(
-                        {i, std::chrono::duration<double>(t1 - t0).count()});
-                } else {
-                    session.engine->finish();
-                    session.accounted = true;
-                    ++finished_total_;
-                    promote_queued();
-                }
-            } catch (const std::exception& error) {
-                evict_session(session,
-                              std::string("begin_step() threw: ") + error.what());
-                promote_queued();
-            } catch (...) {
-                evict_session(session, "begin_step() threw a non-std exception");
-                promote_queued();
-            }
-        }
-
-        // The shared pass. Float64 keeps fleet output bit-identical to the
-        // serial schedule; only batches of >= 2 count as shared work.
-        fft_batched_window_ += batch_.run(batch_scratch_);
-
-        for (const Staged& item : staged) {
-            Session& session = *sessions_[item.index];
-            // A sibling's finish_step may have run a stage that evicted
-            // this session after it staged; its computed spectra are simply
-            // abandoned with the rest of its state.
-            if (terminal(session)) continue;
-            try {
-                const auto t0 = std::chrono::steady_clock::now();
-                session.engine->finish_step();
-                const auto t1 = std::chrono::steady_clock::now();
-                const double elapsed =
-                    item.begin_s + std::chrono::duration<double>(t1 - t0).count();
-                ++session.frames;
-                session.total_step_s += elapsed;
-                session.max_step_s = std::max(session.max_step_s, elapsed);
-                session.lag = 0;
-                ++processed;
-                ++frames_window_;
-            } catch (const std::exception& error) {
-                evict_session(session,
-                              std::string("finish_step() threw: ") + error.what());
-                promote_queued();
-            } catch (...) {
-                evict_session(session, "finish_step() threw a non-std exception");
-                promote_queued();
-            }
-        }
-
-        start = end;
-    }
-    return processed;
-}
-
 bool EngineHost::progress_possible() const {
     for (const auto& session : sessions_) {
         if (session->queued || terminal(*session)) continue;
@@ -629,7 +540,6 @@ FleetStats EngineHost::take_fleet_stats() {
     stats.sessions_evicted = evicted_total_;
     stats.active_sessions = active_sessions();
     stats.queued_sessions = queued_sessions();
-    stats.fft_batched = fft_batched_window_;
     stats.sessions_restarted = restarts_total_;
 
     stats.sessions.reserve(sessions_.size());
@@ -657,7 +567,6 @@ FleetStats EngineHost::take_fleet_stats() {
     }
 
     frames_window_ = 0;
-    fft_batched_window_ = 0;
     window_started_s_ = now_s;
     return stats;
 }

@@ -33,7 +33,6 @@
 
 #include "common/worker_pool.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/fft_batch.hpp"
 #include "dsp/fft_plan_cache.hpp"
 #include "engine/engine.hpp"
 
@@ -80,18 +79,6 @@ struct HostConfig {
     /// Watchdog restarts allowed per session before it is evicted.
     std::size_t max_restarts = 3;
 
-    /// Batched FFT scheduling: each step_all() round runs in two phases --
-    /// every ready session stages its range FFTs into one shared
-    /// dsp::FftBatch, the host runs the batch (same-shape transforms across
-    /// sessions execute as one lane-interleaved SIMD pass), then every
-    /// staged session finishes its frame. Because fleets admit sessions
-    /// with identical radio configs, the cross-session batch width is
-    /// typically active_sessions x num_rx. Per-session output stays
-    /// bit-identical to the serial schedule (tests/test_fleet.cpp proves
-    /// it); FleetStats::fft_batched counts the transforms that actually
-    /// ran batched.
-    bool batch_fft = false;
-
     // ------------------------------------------------------ fluent builder
     HostConfig& with_workers(std::size_t count) {
         workers = count;
@@ -111,10 +98,6 @@ struct HostConfig {
     }
     HostConfig& with_plan_cache(dsp::FftPlanCache* cache) {
         plan_cache = cache;
-        return *this;
-    }
-    HostConfig& with_batch_fft(bool enable = true) {
-        batch_fft = enable;
         return *this;
     }
     HostConfig& with_health_threshold(double threshold) {
@@ -171,10 +154,6 @@ struct FleetStats {
     std::size_t sessions_evicted = 0;  ///< lifetime
     std::size_t active_sessions = 0;   ///< currently holding a slot
     std::size_t queued_sessions = 0;   ///< waiting for a slot
-    /// Range transforms executed inside a cross-session batch of >= 2 this
-    /// window (0 unless HostConfig::batch_fft; a window where every round
-    /// had only one ready session also reads 0 -- no sharing happened).
-    std::size_t fft_batched = 0;
     /// Sum of the network ingestion counters over every currently
     /// registered network-fed session (cumulative, like the per-session
     /// counters -- reaped sessions leave the sum).
@@ -354,11 +333,10 @@ class EngineHost {
     bool progress_possible() const;
 
     /// One scheduler round, minus the settle()/rounds_ bookkeeping that
-    /// step_all() wraps around either variant.
+    /// step_all() wraps around it.
     std::size_t round_serial();
-    std::size_t round_batched();
-    /// Backpressure accounting for a paused session (shared by both round
-    /// variants); may evict the session past max_frame_lag.
+    /// Backpressure accounting for a paused session; may evict the session
+    /// past max_frame_lag.
     void lag_session(Session& session);
     /// Roll every session's engine quality deltas into its watchdog window
     /// and trigger restarts/evictions; runs once per step_all() round.
@@ -373,11 +351,8 @@ class EngineHost {
     dsp::FftPlanCache* plans_;                  ///< config's or the global one
     std::vector<std::unique_ptr<Session>> sessions_;  ///< admission order
     SessionId next_id_ = 1;
-    dsp::FftBatch batch_;              ///< reused across batched rounds
-    dsp::FftScratch batch_scratch_;
     std::size_t rounds_ = 0;
     std::size_t frames_window_ = 0;
-    std::size_t fft_batched_window_ = 0;
     double window_started_s_ = 0.0;    ///< steady-clock origin of the window
     std::size_t admitted_total_ = 0;
     std::size_t finished_total_ = 0;

@@ -9,7 +9,7 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -136,7 +136,7 @@ class FaultyStage : public engine::AppStage {
 /// Run the canonical 3-session heterogeneous fleet (full-demand sim walk,
 /// TOF-only sim walk, localize-only replay) on one EngineHost and compare
 /// every session's output bit for bit against dedicated standalone Engines.
-void run_fleet_parity(std::size_t host_workers, bool batch_fft = false) {
+void run_fleet_parity(std::size_t host_workers) {
     const std::string path = testing::TempDir() + "witrack_fleet_parity.wtrk";
     record_episode(path, 407);
 
@@ -167,8 +167,7 @@ void run_fleet_parity(std::size_t host_workers, bool batch_fft = false) {
     // --- the same three sessions multiplexed on one host ------------------
     engine::EngineHost host(engine::HostConfig{}
                                 .with_workers(host_workers)
-                                .with_max_sessions(8)
-                                .with_batch_fft(batch_fft));
+                                .with_max_sessions(8));
     const auto full_id = host.admit("home-a", walk_config(401),
                                     std::make_unique<engine::SimSource>(
                                         walk_config(401), walk_script()));
@@ -218,49 +217,15 @@ TEST(Fleet, HeterogeneousSessionsBitIdenticalDefaultWorkers) {
     run_fleet_parity(0);
 }
 
-TEST(Fleet, HeterogeneousSessionsBitIdenticalBatchedHost) {
-    // batch_fft gathers the three sessions' range FFTs into shared
-    // lane-interleaved passes each round; output must not move a bit.
-    run_fleet_parity(1, /*batch_fft=*/true);
-}
-
-TEST(Fleet, HeterogeneousSessionsBitIdenticalBatchedSharedPoolHost) {
-    run_fleet_parity(4, /*batch_fft=*/true);
-}
-
-TEST(Fleet, BatchedHostSharesCrossSessionFftWork) {
-    // Two same-config sessions: every batched round fuses their range FFTs
-    // (one per antenna per session) into cross-session batches, and the
-    // telemetry window reports exactly how many transforms ran shared.
-    engine::EngineHost host(engine::HostConfig{}.with_batch_fft(true));
-    const auto a = host.admit("a", walk_config(421),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(421), walk_script()));
-    const auto b = host.admit("b", walk_config(422),
-                              std::make_unique<engine::SimSource>(
-                                  walk_config(422), walk_script()));
-    const std::size_t num_rx =
-        host.session(a)->array().rx.size();
-    for (int round = 0; round < 5; ++round) EXPECT_EQ(host.step_all(), 2u);
-
-    auto stats = host.take_fleet_stats();
-    EXPECT_EQ(stats.frames, 10u);
-    // Both sessions' transforms share every round's pass: 2 sessions x
-    // num_rx antennas x 5 rounds all ran inside batches of >= 2. Under a
-    // WITRACK_HW_FAULTS campaign (the CI fault-matrix lane) dropped lanes
-    // skip their FFT entirely, so the shared count can only shrink.
-    if (std::getenv("WITRACK_HW_FAULTS") == nullptr) {
-        EXPECT_EQ(stats.fft_batched, 2u * num_rx * 5u);
-    } else {
-        EXPECT_GT(stats.fft_batched, 0u);
-        EXPECT_LE(stats.fft_batched, 2u * num_rx * 5u);
-    }
-    EXPECT_NE(engine::to_json(stats).find("\"fft_batched\":"), std::string::npos);
-
-    // The counter is a window aggregate: it resets with the window and
-    // stays zero for a serial-configured host.
-    EXPECT_EQ(host.take_fleet_stats().fft_batched, 0u);
-    EXPECT_EQ(host.state(b), engine::SessionState::kRunning);
+TEST(Fleet, ExplicitWorkerCountAboveCapThrows) {
+    // An explicit count is bounded by the same 256 cap the WITRACK_WORKERS
+    // path applies; past it the host refuses to start instead of trying
+    // to spawn (or reserve) that many threads.
+    EXPECT_THROW(engine::EngineHost(engine::HostConfig{}.with_workers(257)),
+                 std::invalid_argument);
+    EXPECT_THROW(engine::EngineHost(engine::HostConfig{}.with_workers(SIZE_MAX)),
+                 std::invalid_argument);
+    EXPECT_EQ(engine::resolve_worker_count(256), 256u);
 }
 
 // ------------------------------------------------------ round-robin fairness

@@ -13,6 +13,9 @@
 //                   [--max-restarts N]
 // Client:  witrackd --port P --cmd "STATS"
 //
+// A negative, non-numeric or out-of-range integer flag (or a worker count
+// above the host's cap of 256) prints the usage and exits 2.
+//
 // On top of the ControlServer builtins (PING / STATS / HEALTH / PAUSE /
 // RESUME / EVICT / CHECKPOINT) the daemon registers:
 //
@@ -41,6 +44,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,9 +81,31 @@ bool parse_u64(const std::string& word, std::uint64_t& value) {
     return true;
 }
 
+constexpr const char* kUsage =
+    "usage: witrackd [--control-port P] [--max-sessions N] [--workers W]\n"
+    "                [--max-frame-lag R] [--stats-every SEC]\n"
+    "                [--net-idle-timeout SEC] [--run-seconds SEC] [--idle-exit]\n"
+    "                [--health-threshold H] [--health-window F]\n"
+    "                [--max-restarts N]\n"
+    "       witrackd --port P --cmd \"STATS\"\n";
+
+/// Read a non-negative integer flag into `value` (`fallback` when absent).
+/// A negative, non-numeric or above-`max` value prints the usage and
+/// returns false: atoi would silently turn "-1" into a huge count.
+bool read_count(const CliArgs& args, const char* key, std::uint64_t fallback,
+                std::uint64_t max, std::uint64_t& value) {
+    value = fallback;
+    if (!args.has(key)) return true;
+    if (parse_u64(args.get(key), value) && value <= max) return true;
+    std::fprintf(stderr, "witrackd: bad --%s value '%s'\n%s", key,
+                 args.get(key).c_str(), kUsage);
+    return false;
+}
+
 int run_client(const CliArgs& args) {
-    const int port = args.get_int("port", 0);
-    if (port <= 0 || port > 65535) {
+    std::uint64_t port = 0;
+    if (!read_count(args, "port", 0, 65535, port)) return 2;
+    if (port == 0) {
         std::fprintf(stderr, "witrackd --cmd needs --port <control port>\n");
         return 2;
     }
@@ -100,21 +126,36 @@ int main(int argc, char** argv) {
     const CliArgs args(argc, argv);
     if (args.has("cmd")) return run_client(args);
 
-    engine::EngineHost host(
-        engine::HostConfig{}
-            .with_workers(static_cast<std::size_t>(args.get_int("workers", 0)))
-            .with_max_sessions(
-                static_cast<std::size_t>(args.get_int("max-sessions", 8)))
-            .with_queue_when_full(true)
-            .with_max_frame_lag(
-                static_cast<std::size_t>(args.get_int("max-frame-lag", 500)))
-            .with_health_threshold(args.get_double("health-threshold", 0.0))
-            .with_health_window(
-                static_cast<std::size_t>(args.get_int("health-window", 64)))
-            .with_max_restarts(
-                static_cast<std::size_t>(args.get_int("max-restarts", 3))));
-    net::ControlServer control(
-        host, static_cast<std::uint16_t>(args.get_int("control-port", 0)));
+    constexpr std::uint64_t kAny = UINT64_MAX;
+    std::uint64_t control_port = 0, max_sessions = 0, workers = 0;
+    std::uint64_t max_frame_lag = 0, health_window = 0, max_restarts = 0;
+    if (!read_count(args, "control-port", 0, 65535, control_port) ||
+        !read_count(args, "max-sessions", 8, kAny, max_sessions) ||
+        !read_count(args, "workers", 0, kAny, workers) ||
+        !read_count(args, "max-frame-lag", 500, kAny, max_frame_lag) ||
+        !read_count(args, "health-window", 64, kAny, health_window) ||
+        !read_count(args, "max-restarts", 3, kAny, max_restarts))
+        return 2;
+
+    // The host validates the counts it owns (worker cap, max_sessions >= 1);
+    // a rejected value is a usage error, not an abort.
+    std::unique_ptr<engine::EngineHost> owned_host;
+    try {
+        owned_host = std::make_unique<engine::EngineHost>(
+            engine::HostConfig{}
+                .with_workers(workers)
+                .with_max_sessions(max_sessions)
+                .with_queue_when_full(true)
+                .with_max_frame_lag(max_frame_lag)
+                .with_health_threshold(args.get_double("health-threshold", 0.0))
+                .with_health_window(health_window)
+                .with_max_restarts(max_restarts));
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "witrackd: %s\n%s", error.what(), kUsage);
+        return 2;
+    }
+    engine::EngineHost& host = *owned_host;
+    net::ControlServer control(host, static_cast<std::uint16_t>(control_port));
 
     const double stats_every_s = args.get_double("stats-every", 5.0);
     const double net_idle_timeout_s = args.get_double("net-idle-timeout", 5.0);
