@@ -43,11 +43,12 @@ scripts/smoke_witrackd.sh build-release
 echo "=== hardware fault campaign (Release) ==="
 # WITRACK_HW_FAULTS arms every SimSource in the process with an
 # identically-seeded hw::FaultInjector, so the bit-parity suites re-prove
-# their contracts on degraded hardware: host/standalone, serial/parallel
-# and snapshot/restore outputs must stay bit-identical with faults active,
-# and test_faults keeps the exact injector<->QualityStats accounting. The
-# full sweep (more campaigns, heavier rates) runs in CI's fault-matrix
-# lane; this is its one-campaign smoke.
+# their contracts on degraded hardware: host/standalone, serial/WorkerPool
+# per-RX fan-out and snapshot/restore outputs must stay bit-identical with
+# faults active (app stages always run on the engine thread), and
+# test_faults keeps the exact injector<->QualityStats accounting. The full
+# sweep (more campaigns, heavier rates) runs in CI's fault-matrix lane; this
+# is its one-campaign smoke.
 (cd build-release &&
   WITRACK_HW_FAULTS="dropout=0.03,saturation=0.05,sweep_drop=0.02,seed=2026" \
   ctest -R '^(test_faults|test_fleet|test_snapshot)$' --output-on-failure)

@@ -1,6 +1,8 @@
 // Minimal command-line parsing for the bench harnesses. Every figure bench
 // accepts the same vocabulary (--experiments, --seconds, --seed, --csv,
 // --quick) so results are reproducible and scalable without recompiling.
+// parse_u64 is the strict integer parser for operator input (witrackd flags
+// and control-plane words).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,21 @@
 #include <vector>
 
 namespace witrack {
+
+/// Strict unsigned decimal: digits only (no sign, space or suffix) and no
+/// overflow. On false `value` is left untouched.
+inline bool parse_u64(const std::string& word, std::uint64_t& value) {
+    if (word.empty()) return false;
+    std::uint64_t parsed = 0;
+    for (char c : word) {
+        if (c < '0' || c > '9') return false;
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (parsed > (UINT64_MAX - digit) / 10) return false;
+        parsed = parsed * 10 + digit;
+    }
+    value = parsed;
+    return true;
+}
 
 /// Parses "--key value" and "--flag" style arguments.
 class CliArgs {

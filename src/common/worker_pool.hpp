@@ -1,5 +1,5 @@
 // Fixed-size worker pool with a bounded job queue: the engine's parallel
-// substrate for the per-RX TOF fan-out and concurrent app stages. Bounded
+// substrate for the per-RX TOF fan-out (its one user). Bounded
 // on purpose -- a producer that outruns the workers blocks instead of
 // growing an unbounded queue, so a realtime deployment degrades to
 // backpressure rather than memory growth.

@@ -19,9 +19,9 @@ namespace witrack::engine {
 
 /// Resolve a configured worker count to the schedule actually used:
 /// 0 defers to the WITRACK_WORKERS environment variable so CI (and
-/// operators) can flip a whole binary to the parallel schedule without
-/// touching call sites; absent, malformed or absurd (> 256) values mean
-/// serial (1). An explicit count above 256 throws std::invalid_argument.
+/// operators) can flip a whole binary to the per-RX parallel schedule
+/// without touching call sites; absent, malformed or absurd (> 256) values
+/// mean serial (1). An explicit count above 256 throws std::invalid_argument.
 /// The one definition shared by the standalone Engine and EngineHost, so
 /// both resolve identically.
 std::size_t resolve_worker_count(std::size_t configured);
@@ -53,9 +53,9 @@ struct EngineConfig {
     core::PipelineConfig pipeline;
 
     /// Scheduler parallelism: number of worker threads for the per-RX TOF
-    /// fan-out and concurrent app stages. 0 = read the WITRACK_WORKERS
-    /// environment variable (absent -> serial); 1 = serial. Parallel output
-    /// is bit-identical to serial.
+    /// fan-out (app stages always run on the thread calling step()). 0 =
+    /// read the WITRACK_WORKERS environment variable (absent -> serial);
+    /// 1 = serial. Parallel output is bit-identical to serial.
     std::size_t workers = 0;
 
     /// Demand override for the scheduler. Unset (the default), the Engine

@@ -87,10 +87,6 @@ void Engine::add_stage(std::unique_ptr<AppStage> stage) {
     const StageContext context{config_, pipeline_, source_->array()};
     stage->attach(context, bus_);
     stage_stats_.push_back(StageStats{std::string(stage->name()), 0, 0.0, 0.0, 0.0});
-    auto slot = std::make_unique<StageSlot>();
-    slot->staging.capture_into(&slot->pending);
-    slot->staging.mirror_counts_from(&bus_);
-    slots_.push_back(std::move(slot));
     stages_.push_back(std::move(stage));
 }
 
@@ -144,71 +140,24 @@ bool Engine::step() {
         ++track_updates_published_;
     }
 
-    if (active_pool_ != nullptr && stages_.size() > 1) {
-        run_stages_parallel();
-    } else {
-        run_stages_serial();
-    }
+    // Stages run on this thread in attachment order, publishing straight to
+    // the session bus: an event a stage published is delivered before a
+    // later stage runs, so it survives that stage throwing.
+    for (std::size_t i = 0; i < stages_.size(); ++i) run_stage(i);
 
     ++frames_;
     return true;
 }
 
-void Engine::run_stage(std::size_t index, EventBus& bus) {
+void Engine::run_stage(std::size_t index) {
     const auto t0 = std::chrono::steady_clock::now();
-    stages_[index]->on_frame(frame_, result_, bus);
+    stages_[index]->on_frame(frame_, result_, bus_);
     const auto t1 = std::chrono::steady_clock::now();
     const double elapsed = std::chrono::duration<double>(t1 - t0).count();
     auto& stats = stage_stats_[index];
     ++stats.frames;
     stats.total_s += elapsed;
     stats.max_s = std::max(stats.max_s, elapsed);
-}
-
-void Engine::run_stages_serial() {
-    for (std::size_t i = 0; i < stages_.size(); ++i) run_stage(i, bus_);
-}
-
-void Engine::run_stages_parallel() {
-    // A stage exception on a previous frame can abort before the replay
-    // loop below; drop any events stranded in the staging slots so they
-    // cannot be delivered alongside this frame's.
-    for (auto& slot : slots_) slot->pending.clear();
-
-    // Fan the concurrency-safe stages out; each publishes into its own
-    // capturing bus (slots_[i]). parallel_for's dynamic index assignment is
-    // fine because stage state and slots are index-disjoint, and its join
-    // provides the happens-before for the replay below.
-    try {
-        active_pool_->parallel_for(stages_.size(), [this](std::size_t i) {
-            if (!stages_[i]->concurrent_safe()) return;
-            run_stage(i, slots_[i]->staging);
-        });
-    } catch (...) {
-        // parallel_for joined every helper before rethrowing, so sibling
-        // stages that completed have fully-captured slots. Deliver those
-        // before propagating: a fall alert must not vanish because an
-        // unrelated stage threw (the stage's own state already advanced
-        // and would never re-publish it).
-        for (auto& slot : slots_) {
-            for (auto& deferred : slot->pending) deferred(bus_);
-            slot->pending.clear();
-        }
-        throw;
-    }
-
-    // Deterministic delivery: walk the stages in attachment order, replaying
-    // captured events and running the non-concurrent stages inline, so
-    // subscribers observe exactly the serial schedule's event order.
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        if (stages_[i]->concurrent_safe()) {
-            auto& pending = slots_[i]->pending;
-            for (auto& deferred : pending) deferred(bus_);
-            pending.clear();
-        } else {
-            run_stage(i, bus_);
-        }
-    }
 }
 
 std::size_t Engine::run() {

@@ -11,14 +11,13 @@
 //                                      |
 //                                      +--> AppStages (fall, pointing, ...)
 //
+// Stages always run on the thread that calls step(), in attachment order.
 // Standalone, EngineConfig::with_workers(n > 1) makes the Engine own a
-// private WorkerPool and run the per-RX TOF chains and the
-// concurrency-safe stages in parallel, joining before the next step();
-// output (tracks and event delivery order) stays bit-identical to the
-// serial schedule. Inside an engine::EngineHost the Engine is one session
-// of a fleet: the host owns the (shared) WorkerPool and the FFT plan
-// cache, injects both at admission, and drives step() round-robin -- see
-// engine/host.hpp.
+// private WorkerPool that runs the per-RX TOF chains in parallel, joined
+// inside the tracker; tracks stay bit-identical to the serial schedule.
+// Inside an engine::EngineHost the Engine is one session of a fleet: the
+// host owns the (shared) WorkerPool and the FFT plan cache, injects both
+// at admission, and drives step() round-robin -- see engine/host.hpp.
 #pragma once
 
 #include <cstddef>
@@ -41,13 +40,19 @@ namespace witrack::engine {
 
 /// Session snapshot wire format (Engine::snapshot / Engine::restore):
 /// the chunked, versioned, CRC-framed layout of common/serialize.hpp with
-/// this magic. Layout (version 2):
+/// this magic. Layout (version 3):
 ///
 ///   header:  magic u32 "WTSS" | version u32
 ///   "ENG ":  frames u64 | track_updates_published u64 | finished u8 |
-///            session_state u8 | session_id u64
-///   "TRK ":  WiTrackTracker state (demand set, histories, step state)
-///   "SRC ":  FrameSource cursor (replay frame index, or sim RNG + motion)
+///            session_state u8 | session_id u64 |
+///            QualityStats: frames u64 | degraded_frames u64 |
+///            rx_dropouts u64 | saturated_rx u64 | dropped_sweeps u64 |
+///            short_sweeps u64 | noise_bursts u64 | drift_frames u64 |
+///            health_sum f64 | min_health f64
+///   "TRK ":  WiTrackTracker state (demand set, histories, step state;
+///            every AntennaFrame carries an hw_valid u8)
+///   "SRC ":  FrameSource cursor (replay frame index, or sim RNG + motion,
+///            plus the fault injector's RNG cursor and counters if attached)
 ///   "STG ":  stage count u64 | per stage: name str | stage state
 ///   "END ":  empty terminator chunk
 ///
@@ -230,17 +235,7 @@ class Engine {
            common::WorkerPool* shared_pool, bool pool_injected,
            dsp::FftPlanCache* plans);
 
-    /// Per-stage scratch for the parallel schedule: a capturing bus that
-    /// records the stage's publishes for ordered replay after the join.
-    /// Heap-allocated so the capture sink pointer survives vector growth.
-    struct StageSlot {
-        std::vector<EventBus::DeferredEvent> pending;
-        EventBus staging;
-    };
-
-    void run_stage(std::size_t index, EventBus& bus);
-    void run_stages_serial();
-    void run_stages_parallel();
+    void run_stage(std::size_t index);
 
     void set_session_id(std::uint64_t id) { session_id_ = id; }
     void mark_evicted() { state_ = SessionState::kEvicted; }
@@ -255,7 +250,6 @@ class Engine {
     common::WorkerPool* active_pool_ = nullptr; ///< private or host-shared
     core::WiTrackTracker tracker_;
     std::vector<std::unique_ptr<AppStage>> stages_;
-    std::vector<std::unique_ptr<StageSlot>> slots_;
     std::vector<StageStats> stage_stats_;
     core::WiTrackTracker::FrameResult result_;  ///< current frame's outputs
     Frame frame_;                     ///< reused across step() calls

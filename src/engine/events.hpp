@@ -59,9 +59,6 @@ using SubscriptionId = std::uint64_t;
 
 class EventBus {
   public:
-    /// A recorded publish, replayable onto another bus.
-    using DeferredEvent = std::function<void(EventBus&)>;
-
     /// Register a callback for one event type; returns a token for
     /// unsubscribe(). Callbacks fire in subscription order.
     template <typename E>
@@ -84,44 +81,18 @@ class EventBus {
         return false;
     }
 
-    /// Deliver `event` to every subscriber of its type, in order -- unless
-    /// this bus is in capture mode, in which case the publish is recorded
-    /// into the sink for later replay instead.
+    /// Deliver `event` to every subscriber of its type, in order.
     template <typename E>
     void publish(const E& event) const {
-        if (capture_ != nullptr) {
-            capture_->push_back(
-                [event](EventBus& target) { target.publish(event); });
-            return;
-        }
         for (const auto& subscriber : channel<E>()) subscriber.callback(event);
     }
 
     /// Subscribers currently registered for one event type. The Engine uses
-    /// this to skip building events nobody listens to. A staging bus
-    /// mirrors the counts of the real bus (see mirror_counts_from), so
-    /// stages gating publishes on this query behave identically in the
-    /// serial and parallel schedules.
+    /// this to skip building events nobody listens to.
     template <typename E>
     std::size_t subscriber_count() const {
-        if (count_source_ != nullptr) return count_source_->subscriber_count<E>();
         return channel<E>().size();
     }
-
-    /// Capture mode, the deterministic half of the parallel scheduler: each
-    /// concurrently-running stage publishes into its own capturing bus, and
-    /// after the join the Engine replays the sinks onto the real bus in
-    /// stage-attachment order -- delivery order is identical to a serial
-    /// run. nullptr restores immediate delivery.
-    void capture_into(std::vector<DeferredEvent>* sink) { capture_ = sink; }
-
-    /// Answer subscriber_count() queries with `source`'s counts instead of
-    /// this bus's own (nullptr restores local counts). Paired with
-    /// capture_into on staging buses so a stage that skips building an
-    /// event when nobody listens makes the same decision it would against
-    /// the real bus. The source must not gain or lose subscribers while a
-    /// staged stage is running.
-    void mirror_counts_from(const EventBus* source) { count_source_ = source; }
 
   private:
     template <typename E>
@@ -150,8 +121,6 @@ class EventBus {
     Channel<PointingEvent> pointings_;
     Channel<PersonsEvent> persons_;
     SubscriptionId next_id_ = 1;
-    std::vector<DeferredEvent>* capture_ = nullptr;
-    const EventBus* count_source_ = nullptr;
 };
 
 }  // namespace witrack::engine

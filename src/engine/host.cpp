@@ -177,6 +177,10 @@ EngineHost::EngineHost(HostConfig config)
                                           : &dsp::FftPlanCache::global()) {
     if (config_.max_sessions == 0)
         throw std::invalid_argument("EngineHost: max_sessions must be >= 1");
+    // A NaN threshold would fail every `health >= threshold` test and
+    // restart (then evict) every restartable session each window.
+    if (!(config_.health_threshold >= 0.0 && config_.health_threshold <= 1.0))
+        throw std::invalid_argument("EngineHost: health_threshold must be in [0, 1]");
     if (workers_ > 1) pool_ = std::make_unique<common::WorkerPool>(workers_);
     window_started_s_ = steady_seconds();
 }

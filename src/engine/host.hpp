@@ -41,10 +41,11 @@ namespace witrack::engine {
 using SessionId = std::uint64_t;
 
 struct HostConfig {
-    /// Shared-pool parallelism for every session (per-RX TOF fan-out and
-    /// concurrent stages). 0 = read WITRACK_WORKERS (absent -> serial);
-    /// 1 = serial. Session EngineConfig::workers is ignored inside a host:
-    /// the host owns the parallelism decision.
+    /// Shared-pool parallelism for every session (the per-RX TOF fan-out;
+    /// stages run on the thread calling step_all()). 0 = read
+    /// WITRACK_WORKERS (absent -> serial); 1 = serial. Session
+    /// EngineConfig::workers is ignored inside a host: the host owns the
+    /// parallelism decision.
     std::size_t workers = 0;
 
     /// Running-session cap (admission control). Sessions admitted beyond it
@@ -70,7 +71,8 @@ struct HostConfig {
     /// restarted in place -- same session id, state resumed from the
     /// checkpoint -- up to max_restarts times, then evicted. Siblings are
     /// untouched either way. 0 disables the watchdog (health is still
-    /// tracked and reported).
+    /// tracked and reported). Must lie in [0, 1]: the constructor throws
+    /// std::invalid_argument for NaN or anything outside.
     double health_threshold = 0.0;
 
     /// Frames per watchdog evaluation window (tumbling, per session).

@@ -29,7 +29,6 @@ class FallMonitorStage : public AppStage {
     Inputs required_inputs() const override {
         return apps::FallMonitor::kRequiredInputs;
     }
-    bool concurrent_safe() const override { return true; }  ///< self-contained state
     void on_frame(const Frame& frame, const core::WiTrackTracker::FrameResult& result,
                   EventBus& bus) override;
 
@@ -65,7 +64,6 @@ class PointingStage : public AppStage {
     /// TOF-demanding stages attached, the Engine skips localization and
     /// smoothing for the whole session.
     Inputs required_inputs() const override { return Inputs::kTof; }
-    bool concurrent_safe() const override { return true; }  ///< self-contained state
     void attach(const StageContext& context, EventBus& bus) override;
     void on_frame(const Frame& frame, const core::WiTrackTracker::FrameResult& result,
                   EventBus& bus) override;
@@ -96,7 +94,6 @@ class ApplianceController : public AppStage {
     std::string_view name() const override { return "appliances"; }
     /// Purely event-driven: demands no pipeline products at all.
     Inputs required_inputs() const override { return Inputs::kNone; }
-    bool concurrent_safe() const override { return true; }  ///< on_frame is empty
     void attach(const StageContext& context, EventBus& bus) override;
     void on_frame(const Frame&, const core::WiTrackTracker::FrameResult&,
                   EventBus&) override {}
@@ -125,7 +122,6 @@ class MultiPersonStage : public AppStage {
     /// Disambiguates multi-peak TOF observations itself; the single-person
     /// localization and smoothing steps are dead weight for this workload.
     Inputs required_inputs() const override { return Inputs::kTof; }
-    bool concurrent_safe() const override { return true; }  ///< self-contained state
     void attach(const StageContext& context, EventBus& bus) override;
     void on_frame(const Frame& frame, const core::WiTrackTracker::FrameResult& result,
                   EventBus& bus) override;

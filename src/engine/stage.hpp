@@ -43,17 +43,6 @@ class AppStage {
     /// the lifetime of the stage.
     virtual Inputs required_inputs() const { return Inputs::kAll; }
 
-    /// Opt-in to the Engine's parallel mode: stages that return true may
-    /// have on_frame() run on a worker thread, concurrently with other
-    /// opted-in stages, joined before the next frame; events they publish
-    /// are delivered after the join, still in stage-attachment order. The
-    /// default is false -- a stage never written for concurrency always
-    /// runs on the engine thread, even under WITRACK_WORKERS -- so thread
-    /// participation is a per-stage declaration, not an ambient flag.
-    /// Opted-in stages must not subscribe from inside on_frame, and must
-    /// not rely on observing same-frame events from earlier stages there.
-    virtual bool concurrent_safe() const { return false; }
-
     /// Called once when the stage is added to an Engine; build estimators
     /// from the context and register any event subscriptions here.
     virtual void attach(const StageContext& context, EventBus& bus) {
@@ -63,7 +52,9 @@ class AppStage {
 
     /// Called for every processed frame, after the Engine has published its
     /// TrackUpdateEvent. `result` carries the full per-frame pipeline
-    /// output (TOF observations, raw and smoothed positions).
+    /// output (TOF observations, raw and smoothed positions). Runs on the
+    /// thread that calls Engine::step(), after every earlier-attached
+    /// stage's on_frame; events published to `bus` are delivered at once.
     virtual void on_frame(const Frame& frame,
                           const core::WiTrackTracker::FrameResult& result,
                           EventBus& bus) = 0;

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cli.hpp"
 #include "engine/host.hpp"
 
 namespace witrack::net {
@@ -71,18 +72,6 @@ std::vector<std::string> split_words(const std::string& line) {
     return words;
 }
 
-bool parse_session_id(const std::string& word, engine::SessionId& id) {
-    if (word.empty()) return false;
-    std::uint64_t value = 0;
-    for (char c : word) {
-        if (c < '0' || c > '9') return false;
-        if (value > (UINT64_MAX - 9) / 10) return false;
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    id = value;
-    return true;
-}
-
 }  // namespace
 
 ControlServer::ControlServer(engine::EngineHost& host, std::uint16_t port)
@@ -124,7 +113,7 @@ ControlServer::ControlServer(engine::EngineHost& host, std::uint16_t port)
     });
     register_command("PAUSE", [this](const std::vector<std::string>& argv) {
         engine::SessionId id = 0;
-        if (argv.size() != 1 || !parse_session_id(argv[0], id))
+        if (argv.size() != 1 || !parse_u64(argv[0], id))
             return std::string("ERR usage: PAUSE <id>");
         if (host_.session(id) == nullptr)
             return "ERR unknown session " + argv[0];
@@ -133,7 +122,7 @@ ControlServer::ControlServer(engine::EngineHost& host, std::uint16_t port)
     });
     register_command("RESUME", [this](const std::vector<std::string>& argv) {
         engine::SessionId id = 0;
-        if (argv.size() != 1 || !parse_session_id(argv[0], id))
+        if (argv.size() != 1 || !parse_u64(argv[0], id))
             return std::string("ERR usage: RESUME <id>");
         if (host_.session(id) == nullptr)
             return "ERR unknown session " + argv[0];
@@ -142,7 +131,7 @@ ControlServer::ControlServer(engine::EngineHost& host, std::uint16_t port)
     });
     register_command("EVICT", [this](const std::vector<std::string>& argv) {
         engine::SessionId id = 0;
-        if (argv.empty() || !parse_session_id(argv[0], id))
+        if (argv.empty() || !parse_u64(argv[0], id))
             return std::string("ERR usage: EVICT <id> [reason...]");
         std::string reason = "control plane eviction";
         if (argv.size() > 1) {
@@ -158,7 +147,7 @@ ControlServer::ControlServer(engine::EngineHost& host, std::uint16_t port)
     });
     register_command("CHECKPOINT", [this](const std::vector<std::string>& argv) {
         engine::SessionId id = 0;
-        if (argv.size() != 2 || !parse_session_id(argv[0], id))
+        if (argv.size() != 2 || !parse_u64(argv[0], id))
             return std::string("ERR usage: CHECKPOINT <id> <path>");
         std::ofstream out(argv[1], std::ios::binary | std::ios::trunc);
         if (!out) return "ERR cannot open " + argv[1];

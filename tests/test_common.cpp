@@ -146,5 +146,19 @@ TEST(Cli, SeedDefaultsAndOverrides) {
     EXPECT_EQ(empty.get_seed(99), 99u);
 }
 
+TEST(Cli, ParseU64AcceptsOnlyPlainDigits) {
+    std::uint64_t value = 7;
+    EXPECT_TRUE(parse_u64("0", value));
+    EXPECT_EQ(value, 0u);
+    EXPECT_TRUE(parse_u64("18446744073709551615", value));
+    EXPECT_EQ(value, UINT64_MAX);
+    for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12a", "0x10",
+                            "18446744073709551616", "99999999999999999999"}) {
+        value = 7;
+        EXPECT_FALSE(parse_u64(bad, value)) << bad;
+        EXPECT_EQ(value, 7u) << bad;  // untouched on failure
+    }
+}
+
 }  // namespace
 }  // namespace witrack

@@ -117,65 +117,5 @@ TEST(EventBus, EventCarriesPayload) {
     EXPECT_EQ(received->position.z, 1.2);
 }
 
-TEST(EventBus, CaptureModeDefersAndReplaysInOrder) {
-    // The parallel scheduler's staging mode: a capturing bus records
-    // publishes instead of delivering, and the recorded closures replay the
-    // events on the real bus in capture order -- including interleavings of
-    // different event types, which a single type-erased queue preserves.
-    EventBus real;
-    std::string order;
-    real.subscribe<TrackUpdateEvent>(
-        [&](const TrackUpdateEvent& event) { order += 't' + std::to_string(event.time_s); });
-    real.subscribe<FallEvent>([&](const FallEvent&) { order += 'f'; });
-
-    EventBus staging;
-    std::vector<EventBus::DeferredEvent> pending;
-    staging.capture_into(&pending);
-    staging.subscribe<TrackUpdateEvent>([&](const TrackUpdateEvent&) {
-        FAIL() << "capture mode must not deliver";
-    });
-
-    staging.publish(update_at(1));
-    staging.publish(FallEvent{});
-    staging.publish(update_at(2));
-    EXPECT_EQ(order, "");  // nothing delivered yet
-    ASSERT_EQ(pending.size(), 3u);
-
-    for (auto& deferred : pending) deferred(real);
-    EXPECT_EQ(order, "t1.000000ft2.000000");
-
-    // Restoring immediate delivery turns the staging bus back into a
-    // normal one.
-    pending.clear();
-    staging.capture_into(nullptr);
-    int direct = 0;
-    staging.subscribe<FallEvent>([&](const FallEvent&) { ++direct; });
-    staging.publish(FallEvent{});
-    EXPECT_EQ(direct, 1);
-    EXPECT_TRUE(pending.empty());
-}
-
-TEST(EventBus, MirroredCountsReportTheSourceBus) {
-    // A staging bus answers subscriber_count with the real bus's counts, so
-    // publish-gating stage code decides identically in serial and parallel
-    // schedules.
-    EventBus real;
-    real.subscribe<FallEvent>([](const FallEvent&) {});
-    real.subscribe<FallEvent>([](const FallEvent&) {});
-
-    EventBus staging;
-    std::vector<EventBus::DeferredEvent> pending;
-    staging.capture_into(&pending);
-    staging.mirror_counts_from(&real);
-
-    EXPECT_EQ(staging.subscriber_count<FallEvent>(), 2u);
-    EXPECT_EQ(staging.subscriber_count<PointingEvent>(), 0u);
-    staging.publish(FallEvent{});  // still captured, not delivered
-    EXPECT_EQ(pending.size(), 1u);
-
-    staging.mirror_counts_from(nullptr);
-    EXPECT_EQ(staging.subscriber_count<FallEvent>(), 0u);  // local again
-}
-
 }  // namespace
 }  // namespace witrack::engine

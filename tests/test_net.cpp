@@ -682,6 +682,18 @@ std::string roundtrip(net::ControlServer& server, net::ControlClient& client,
     throw std::runtime_error("control response never arrived: " + line);
 }
 
+TEST(ControlPlane, HostRejectsNonFiniteOrOutOfRangeHealthThreshold) {
+    // witrackd hands --health-threshold to the host; a NaN would fail every
+    // `health >= threshold` test and restart every restartable session.
+    for (const double bad : {std::nan(""), -0.5, 1.5, HUGE_VAL}) {
+        EXPECT_THROW(engine::EngineHost(engine::HostConfig{}.with_health_threshold(bad)),
+                     std::invalid_argument)
+            << bad;
+    }
+    for (const double good : {0.0, 0.5, 1.0})
+        EXPECT_NO_THROW(engine::EngineHost(engine::HostConfig{}.with_health_threshold(good)));
+}
+
 TEST(ControlPlane, PingAndUnknownCommand) {
     engine::EngineHost host;
     net::ControlServer server(host);

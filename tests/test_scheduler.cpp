@@ -1,9 +1,10 @@
 // Demand-driven scheduler and worker-pool parity suite. The contract under
-// test: lazy schedules (TOF-only, localize-only) and parallel schedules
-// (2/4 workers) produce bit-identical TOF streams and positions vs. the
-// full serial pipeline, on both sim and replay sources -- while demonstrably
-// skipping the undemanded work. Plus WorkerPool semantics, the
-// no-subscriber TrackUpdateEvent skip, and the stage-stats snapshot/reset.
+// test: lazy schedules (TOF-only, localize-only) and parallel per-RX
+// schedules (2/4 workers) produce bit-identical TOF streams and positions
+// vs. the full serial pipeline, on both sim and replay sources -- while
+// demonstrably skipping the undemanded work. Plus stage-event order and
+// fault delivery, WorkerPool semantics, the no-subscriber TrackUpdateEvent
+// skip, and the stage-stats snapshot/reset.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -237,7 +238,6 @@ class TofTapStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
     void on_frame(const engine::Frame&,
                   const core::WiTrackTracker::FrameResult& result,
                   engine::EventBus&) override {
@@ -375,13 +375,9 @@ class TaggedStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
     void on_frame(const engine::Frame& frame,
                   const core::WiTrackTracker::FrameResult&,
                   engine::EventBus& bus) override {
-        // Mirrored counts: the staging bus a concurrent stage publishes
-        // into reports the real bus's subscribers, so publish-gating code
-        // behaves the same in both schedules.
         if (bus.subscriber_count<engine::PersonsEvent>() == 0) return;
         bus.publish(engine::PersonsEvent{frame.time_s + tag_, {}, {}});
     }
@@ -411,10 +407,48 @@ TEST(Scheduler, ParallelStageEventsDeliverInAttachmentOrder) {
     const auto parallel = run(4);
     ASSERT_GT(serial.size(), 300u);
     ASSERT_EQ(serial.size(), parallel.size());
-    // Same sequence, element for element: attachment order per frame even
-    // though the stages executed concurrently.
+    // Same sequence, element for element: attachment order per frame
+    // whatever the worker count.
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]);
+}
+
+/// Throws from on_frame once `countdown` frames have passed.
+class ThrowingStage : public engine::AppStage {
+  public:
+    explicit ThrowingStage(int countdown) : countdown_(countdown) {}
+    std::string_view name() const override { return "throwing"; }
+    engine::Inputs required_inputs() const override {
+        return engine::Inputs::kTof;
+    }
+    void on_frame(const engine::Frame&, const core::WiTrackTracker::FrameResult&,
+                  engine::EventBus&) override {
+        if (--countdown_ < 0) throw std::runtime_error("stage fault");
+    }
+
+  private:
+    int countdown_;
+};
+
+TEST(Scheduler, EarlierStageEventSurvivesLaterStageThrow) {
+    // A fall alert must not vanish because an unrelated stage threw: the
+    // stage state that produced it already advanced and never re-publishes.
+    auto config = walk_config(313).with_workers(4);
+    engine::Engine eng(config,
+                       std::make_unique<engine::SimSource>(config, walk_script()));
+    eng.emplace_stage<TaggedStage>(0.5);
+    eng.emplace_stage<ThrowingStage>(3);
+    std::vector<double> delivered;
+    eng.bus().subscribe<engine::PersonsEvent>(
+        [&](const engine::PersonsEvent& event) { delivered.push_back(event.time_s); });
+
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(eng.step());
+    ASSERT_EQ(delivered.size(), 3u);
+    EXPECT_THROW(eng.step(), std::runtime_error);
+    // The faulting frame's event from the earlier stage was delivered.
+    ASSERT_EQ(delivered.size(), 4u);
+    EXPECT_GT(delivered[3], delivered[2]);
+    EXPECT_EQ(eng.workers(), 4u);
 }
 
 // ------------------------------------------------ TrackUpdateEvent laziness

@@ -90,7 +90,6 @@ class TofTapStage : public engine::AppStage {
     engine::Inputs required_inputs() const override {
         return engine::Inputs::kTof;
     }
-    bool concurrent_safe() const override { return true; }
     void on_frame(const engine::Frame&,
                   const core::WiTrackTracker::FrameResult& result,
                   engine::EventBus&) override {

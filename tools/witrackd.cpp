@@ -13,8 +13,9 @@
 //                   [--max-restarts N]
 // Client:  witrackd --port P --cmd "STATS"
 //
-// A negative, non-numeric or out-of-range integer flag (or a worker count
-// above the host's cap of 256) prints the usage and exits 2.
+// A negative, non-numeric or out-of-range flag (a worker count above the
+// host's cap of 256, a non-finite duration, a health threshold outside
+// [0, 1]) prints the usage and exits 2.
 //
 // On top of the ControlServer builtins (PING / STATS / HEALTH / PAUSE /
 // RESUME / EVICT / CHECKPOINT) the daemon registers:
@@ -40,9 +41,12 @@
 // holds its step_all() slot until --net-idle-timeout expires (once; the
 // session then ends with the silence counted in idle_timeouts).
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -70,17 +74,6 @@ engine::EngineConfig tenant_config(std::uint64_t seed) {
     return config;
 }
 
-bool parse_u64(const std::string& word, std::uint64_t& value) {
-    if (word.empty()) return false;
-    value = 0;
-    for (char c : word) {
-        if (c < '0' || c > '9') return false;
-        if (value > (UINT64_MAX - 9) / 10) return false;
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-}
-
 constexpr const char* kUsage =
     "usage: witrackd [--control-port P] [--max-sessions N] [--workers W]\n"
     "                [--max-frame-lag R] [--stats-every SEC]\n"
@@ -99,6 +92,25 @@ bool read_count(const CliArgs& args, const char* key, std::uint64_t fallback,
     if (parse_u64(args.get(key), value) && value <= max) return true;
     std::fprintf(stderr, "witrackd: bad --%s value '%s'\n%s", key,
                  args.get(key).c_str(), kUsage);
+    return false;
+}
+
+/// Read a finite real flag in [0, max] into `value` (`fallback` when
+/// absent). NaN, infinities, negatives, trailing junk and above-`max`
+/// values print the usage and return false: atof would silently turn
+/// "abc" into 0 and "nan" into a threshold no health ever reaches.
+bool read_real(const CliArgs& args, const char* key, double fallback, double max,
+               double& value) {
+    value = fallback;
+    if (!args.has(key)) return true;
+    const std::string word = args.get(key);
+    char* end = nullptr;
+    value = std::strtod(word.c_str(), &end);
+    if (!word.empty() && *end == '\0' && std::isfinite(value) && value >= 0.0 &&
+        value <= max)
+        return true;
+    std::fprintf(stderr, "witrackd: bad --%s value '%s'\n%s", key, word.c_str(),
+                 kUsage);
     return false;
 }
 
@@ -136,6 +148,14 @@ int main(int argc, char** argv) {
         !read_count(args, "health-window", 64, kAny, health_window) ||
         !read_count(args, "max-restarts", 3, kAny, max_restarts))
         return 2;
+    constexpr double kAnyReal = std::numeric_limits<double>::max();
+    double health_threshold = 0.0, stats_every_s = 0.0;
+    double net_idle_timeout_s = 0.0, run_seconds = 0.0;
+    if (!read_real(args, "health-threshold", 0.0, 1.0, health_threshold) ||
+        !read_real(args, "stats-every", 5.0, kAnyReal, stats_every_s) ||
+        !read_real(args, "net-idle-timeout", 5.0, kAnyReal, net_idle_timeout_s) ||
+        !read_real(args, "run-seconds", 0.0, kAnyReal, run_seconds))
+        return 2;
 
     // The host validates the counts it owns (worker cap, max_sessions >= 1);
     // a rejected value is a usage error, not an abort.
@@ -147,7 +167,7 @@ int main(int argc, char** argv) {
                 .with_max_sessions(max_sessions)
                 .with_queue_when_full(true)
                 .with_max_frame_lag(max_frame_lag)
-                .with_health_threshold(args.get_double("health-threshold", 0.0))
+                .with_health_threshold(health_threshold)
                 .with_health_window(health_window)
                 .with_max_restarts(max_restarts));
     } catch (const std::invalid_argument& error) {
@@ -157,9 +177,6 @@ int main(int argc, char** argv) {
     engine::EngineHost& host = *owned_host;
     net::ControlServer control(host, static_cast<std::uint16_t>(control_port));
 
-    const double stats_every_s = args.get_double("stats-every", 5.0);
-    const double net_idle_timeout_s = args.get_double("net-idle-timeout", 5.0);
-    const double run_seconds = args.get_double("run-seconds", 0.0);
     const bool idle_exit = args.has("idle-exit");
 
     bool draining = false;
