@@ -3,6 +3,7 @@
 // bit-for-bit across runs.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -17,14 +18,42 @@ class Rng {
   public:
     explicit Rng(std::uint64_t seed = 0x5eed'ca11'f00d'beefULL) : engine_(seed) {}
 
-    /// Uniform double in [lo, hi).
+    /// Uniform double in [0, 1) from one 64-bit draw: the value libstdc++'s
+    /// generate_canonical<double, 53> returns for this engine -- the draw
+    /// rounded to double, scaled by 2^-64, clamped below 1 -- but converted
+    /// without the branch on the draw's top bit that a plain uint64 -> double
+    /// conversion costs: both 32-bit halves convert exactly, so the one
+    /// rounding is the sum's.
+    static double canonical(std::uint64_t bits) {
+        const auto hi = static_cast<std::int64_t>(bits >> 32);
+        const auto lo = static_cast<std::int64_t>(bits & 0xffff'ffffULL);
+        const double x =
+            (static_cast<double>(hi) * 0x1p32 + static_cast<double>(lo)) * 0x1p-64;
+        return x >= 1.0 ? 0x1.fffffffffffffp-1 : x;  // nextafter(1, 0)
+    }
+    double canonical() { return canonical(engine_()); }
+
+    /// Uniform double in [lo, hi); bit-identical to a fresh
+    /// std::uniform_real_distribution<double>(lo, hi) under libstdc++.
     double uniform(double lo = 0.0, double hi = 1.0) {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return canonical() * (hi - lo) + lo;
     }
 
-    /// Zero-mean Gaussian with the given standard deviation.
+    /// Gaussian with the given standard deviation: libstdc++'s
+    /// normal_distribution polar method written out in its order (x, then
+    /// y, reject r2 > 1 or r2 == 0), so the engine advances and the value
+    /// rounds exactly as a fresh std::normal_distribution<double>(mean,
+    /// stddev) would. The pair's second value (x * mult) is discarded, as
+    /// the fresh distribution discarded it.
     double gaussian(double stddev = 1.0, double mean = 0.0) {
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        double x, y, r2;
+        do {
+            x = 2.0 * canonical() - 1.0;
+            y = 2.0 * canonical() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        const double mult = std::sqrt(-2 * std::log(r2) / r2);
+        return y * mult * stddev + mean;
     }
 
     /// Rayleigh-distributed magnitude with the given scale parameter; used

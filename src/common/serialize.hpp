@@ -26,6 +26,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -81,24 +83,53 @@ void read_vec3(std::istream& in, V& v, const char* who, const char* what) {
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE, reflected polynomial 0xEDB88320) -- frames every chunk.
+// Slicing-by-8: eight 256-entry tables (table[k][b] is the register update
+// for byte b followed by k zero bytes) fold eight input bytes per step; the
+// bytewise table[0] loop covers the last < 8 bytes, and the whole buffer on
+// big-endian targets. Same polynomial, same values, same chaining through
+// `crc` as a bytewise CRC.
 // ---------------------------------------------------------------------------
+
+namespace detail {
+
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+inline constexpr Crc32Tables kCrc32Tables = [] {
+    Crc32Tables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    return t;
+}();
+
+}  // namespace detail
 
 inline std::uint32_t crc32(const void* data, std::size_t len,
                            std::uint32_t crc = 0) {
-    static const auto table = [] {
-        std::vector<std::uint32_t> t(256);
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto& t = detail::kCrc32Tables;
     const auto* p = static_cast<const unsigned char*>(data);
     crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; len >= 8; p += 8, len -= 8) {
+            std::uint32_t lo = 0;
+            std::uint32_t hi = 0;
+            std::memcpy(&lo, p, 4);
+            std::memcpy(&hi, p + 4, 4);
+            lo ^= crc;
+            crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+                  t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+                  t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+                  t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+        }
+    }
+    for (; len > 0; ++p, --len)
+        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     return ~crc;
 }
 

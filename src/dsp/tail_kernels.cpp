@@ -1,9 +1,11 @@
-// Scalar instantiations of the analysis-tail kernels plus the runtime
-// dispatch (same structure as fft_kernels.cpp: per-ISA entry points live
-// in their own translation units, simd::active() picks the level, and
-// active() never exceeds detect(), so an ISA entry point is only reached
-// on hardware that supports it).
+// Scalar instantiations of the analysis-tail kernels (plus the mixer's
+// scalar tone-bank level) and the tail kernels' runtime dispatch (same
+// structure as fft_kernels.cpp: per-ISA entry points live in their own
+// translation units, simd::active() picks the level, and active() never
+// exceeds detect(), so an ISA entry point is only reached on hardware that
+// supports it).
 #include "dsp/tail_kernels_impl.hpp"
+#include "dsp/tone_kernels_impl.hpp"
 
 namespace witrack::dsp::tail {
 
@@ -109,3 +111,13 @@ void peak_candidates(const double* v, std::size_t n, double threshold,
 }
 
 }  // namespace witrack::dsp::tail
+
+namespace witrack::dsp::tone {
+
+// Scalar level: always available; its dispatch lives in hw/mixer.cpp.
+void accumulate_scalar(const Tone* tones, std::size_t count, const double* ripple,
+                       double* out, std::size_t n) {
+    run_tones_t<simd::ScalarD>(tones, count, ripple, out, n);
+}
+
+}  // namespace witrack::dsp::tone

@@ -1,9 +1,11 @@
 // AVX2 (256-bit) instantiations of the lane-templated analysis-tail
-// kernels. This is the only tail translation unit compiled with -mavx2
+// kernels and of the mixer's tone-bank kernel (tone_kernels_impl.hpp).
+// This is the only tail translation unit compiled with -mavx2
 // (see CMakeLists.txt); runtime dispatch guards entry, and on builds
 // without AVX2 support the entry points degrade to the SSE2 level so the
 // symbols always link.
 #include "dsp/tail_kernels_impl.hpp"
+#include "dsp/tone_kernels_impl.hpp"
 
 namespace witrack::dsp::tail::detail {
 
@@ -67,3 +69,16 @@ void peak_candidates_avx2(const double* v, std::size_t n, double threshold,
 #endif  // __AVX2__
 
 }  // namespace witrack::dsp::tail::detail
+
+namespace witrack::dsp::tone {
+
+void accumulate_avx2(const Tone* tones, std::size_t count, const double* ripple,
+                     double* out, std::size_t n) {
+#if defined(__AVX2__)
+    run_tones_t<simd::AvxD>(tones, count, ripple, out, n);
+#else
+    accumulate_sse2(tones, count, ripple, out, n);
+#endif
+}
+
+}  // namespace witrack::dsp::tone

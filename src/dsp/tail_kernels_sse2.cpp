@@ -1,9 +1,11 @@
 // SSE2 (128-bit) instantiations of the lane-templated analysis-tail
-// kernels. Built with the library's baseline flags: SSE2 is guaranteed on
-// x86-64, so this translation unit needs no extra -m options. On targets
-// without SSE2 the entry points degrade to the scalar level (dispatch
-// never selects kSse2 there, but the symbols must still link).
+// kernels and of the mixer's tone-bank kernel (tone_kernels_impl.hpp).
+// Built with the library's baseline flags: SSE2 is guaranteed on x86-64, so
+// this translation unit needs no extra -m options. On targets without SSE2
+// the entry points degrade to the scalar level (dispatch never selects
+// kSse2 there, but the symbols must still link).
 #include "dsp/tail_kernels_impl.hpp"
+#include "dsp/tone_kernels_impl.hpp"
 
 namespace witrack::dsp::tail::detail {
 
@@ -67,3 +69,16 @@ void peak_candidates_sse2(const double* v, std::size_t n, double threshold,
 #endif  // __SSE2__
 
 }  // namespace witrack::dsp::tail::detail
+
+namespace witrack::dsp::tone {
+
+void accumulate_sse2(const Tone* tones, std::size_t count, const double* ripple,
+                     double* out, std::size_t n) {
+#if defined(__SSE2__)
+    run_tones_t<simd::SseD>(tones, count, ripple, out, n);
+#else
+    accumulate_scalar(tones, count, ripple, out, n);
+#endif
+}
+
+}  // namespace witrack::dsp::tone

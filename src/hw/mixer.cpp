@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dsp/tone_kernels_impl.hpp"
+
 namespace witrack::hw {
 
 using witrack::rf::PropagationPath;
@@ -30,6 +32,8 @@ void DechirpMixer::synthesize(std::span<const PropagationPath> paths,
     const double slope = fmcw_.slope();
     const double fs = fmcw_.sample_rate_hz;
 
+    std::vector<dsp::tone::Tone> tones;
+    tones.reserve(paths.size());
     for (const auto& path : paths) {
         if (path.amplitude <= 0.0) continue;
         const double tau = path.round_trip_m / kSpeedOfLight;
@@ -39,31 +43,25 @@ void DechirpMixer::synthesize(std::span<const PropagationPath> paths,
                                           0.5 * slope * tau * tau) +
                             path.phase_rad;
         const double dphi = 2.0 * M_PI * beat_hz / fs;
-
-        std::complex<double> phasor(std::cos(phi0), std::sin(phi0));
-        const std::complex<double> rotation(std::cos(dphi), std::sin(dphi));
-        const double amp = path.amplitude;
-
-        if (ripple_table_.empty()) {
-            for (std::size_t i = 0; i < n; ++i) {
-                out[i] += amp * phasor.real();
-                phasor *= rotation;
-                if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);  // drift control
-            }
-        } else {
-            // cos(theta + delta) ~ cos(theta) - delta*sin(theta) with
-            // delta(t) = 2*pi*A_r*tau*ripple(t); |delta| << 1 for realistic
-            // PLL residuals.
-            const double delta_scale =
-                2.0 * M_PI * nonlinearity_.ripple_amplitude_hz * tau;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double delta = delta_scale * ripple_table_[i];
-                out[i] += amp * (phasor.real() - delta * phasor.imag());
-                phasor *= rotation;
-                if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);
-            }
-        }
+        // cos(theta + delta) ~ cos(theta) - delta*sin(theta) with
+        // delta(t) = 2*pi*A_r*tau*ripple(t); |delta| << 1 for realistic
+        // PLL residuals.
+        const double ripple_scale = 2.0 * M_PI * nonlinearity_.ripple_amplitude_hz * tau;
+        tones.push_back({std::cos(phi0), std::sin(phi0), std::cos(dphi), std::sin(dphi),
+                         path.amplitude, ripple_scale});
     }
+
+    const double* ripple = ripple_table_.empty() ? nullptr : ripple_table_.data();
+    switch (dsp::simd::active()) {
+        case dsp::simd::Level::kAvx2:
+            dsp::tone::accumulate_avx2(tones.data(), tones.size(), ripple, out.data(), n);
+            return;
+        case dsp::simd::Level::kSse2:
+            dsp::tone::accumulate_sse2(tones.data(), tones.size(), ripple, out.data(), n);
+            return;
+        case dsp::simd::Level::kScalar: break;
+    }
+    dsp::tone::accumulate_scalar(tones.data(), tones.size(), ripple, out.data(), n);
 }
 
 std::vector<double> DechirpMixer::synthesize(

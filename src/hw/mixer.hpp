@@ -7,12 +7,17 @@
 //    phi(t) = 2*pi * (f0*tau + slope*tau*t - slope*tau^2/2) + path phase,
 // and residual sweep nonlinearity adds the ripple term
 //    delta(t) = 2*pi * A_r * tau * sin(2*pi*f_r*t + theta)
-// (first order in the small ripple; see SweepLinearizer). Tones are
-// generated with complex phasor recurrences -- one multiply per sample --
-// so a full sweep with tens of paths stays cheap.
+// (first order in the small ripple; see SweepLinearizer). Each tone is a
+// complex phasor recurrence (one complex multiply per sample, renormalised
+// every 512 samples). That recurrence is serial within a path, so the
+// tone-bank kernel (dsp/tone_kernels_impl.hpp) runs four paths per pass
+// across the SIMD lanes -- one AVX2 register, two SSE2 or four scalar --
+// dispatched on dsp::simd::active() (WITRACK_SIMD caps it). Every path
+// keeps its own arithmetic and each output sample adds the path
+// contributions one at a time in path order, so the output is
+// bit-identical to a path-at-a-time loop at every dispatch level.
 #pragma once
 
-#include <complex>
 #include <span>
 #include <vector>
 

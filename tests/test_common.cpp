@@ -1,12 +1,17 @@
 // Unit tests for src/common: FMCW parameter derivations (paper Eq. 1-4),
-// unit conversions, and the deterministic RNG.
+// unit conversions, the deterministic RNG and the framing CRC.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/constants.hpp"
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "common/units.hpp"
 
 namespace witrack {
@@ -126,6 +131,120 @@ TEST(Rng, ForkedStreamsAreDecorrelated) {
     const int n = 10000;
     for (int i = 0; i < n; ++i) corr += (a.uniform() - 0.5) * (b.uniform() - 0.5);
     EXPECT_NEAR(corr / n, 0.0, 0.01);
+}
+
+TEST(Rng, CanonicalConversionEdgeCases) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Rng::canonical(0)),
+              std::bit_cast<std::uint64_t>(0.0));
+    EXPECT_EQ(Rng::canonical(std::uint64_t{1} << 63), 0.5);
+    // 2^64-1 and 2^64-1024 both round to 2^64, i.e. 1.0: clamped below 1.
+    const double below_one = std::nextafter(1.0, 0.0);
+    EXPECT_EQ(Rng::canonical(~std::uint64_t{0}), below_one);
+    EXPECT_EQ(Rng::canonical(~std::uint64_t{0} - 1023), below_one);
+    EXPECT_EQ(Rng::canonical(~std::uint64_t{0} - 2047), below_one);  // exact
+    EXPECT_EQ(Rng::canonical(~std::uint64_t{0} - 4095), 1.0 - 0x1p-52);
+}
+
+#if defined(__GLIBCXX__)
+
+/// A "generator" that always returns one value: feeds a chosen 64-bit draw
+/// into std::generate_canonical.
+struct FixedBits {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return value; }
+    result_type value;
+};
+
+TEST(Rng, CanonicalMatchesLibstdcxxGenerateCanonical) {
+    std::vector<std::uint64_t> draws = {0,
+                                        1,
+                                        0xffff'ffffULL,
+                                        std::uint64_t{1} << 32,
+                                        (std::uint64_t{1} << 53) + 1,
+                                        (std::uint64_t{1} << 63) - 1,
+                                        std::uint64_t{1} << 63,
+                                        (std::uint64_t{1} << 63) + 1,
+                                        ~std::uint64_t{0} - 1024,
+                                        ~std::uint64_t{0} - 1023,
+                                        ~std::uint64_t{0}};
+    std::mt19937_64 gen(42);
+    for (int i = 0; i < 100000; ++i) draws.push_back(gen());
+    for (const std::uint64_t u : draws) {
+        FixedBits bits{u};
+        const double expected = std::generate_canonical<double, 53>(bits);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(Rng::canonical(u)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << u;
+    }
+}
+
+TEST(Rng, DrawsMatchFreshLibstdcxxDistributionsBitForBit) {
+    // Rng::gaussian/uniform must consume the engine and round exactly like
+    // a freshly constructed std::normal_distribution /
+    // std::uniform_real_distribution on the same engine: the simulator's
+    // frames and snapshots depend on that stream.
+    constexpr std::size_t kDraws = 1'000'000;
+    const double params[][2] = {{1.0, 0.0}, {2e-3, 0.0}, {0.37, -4.5}, {1e6, 3.0}};
+    Rng rng(0xabcdef);
+    std::mt19937_64 engine = rng.engine();
+    std::vector<double> mine(kDraws), theirs(kDraws);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+        const auto& [a, b] = params[i % 4];
+        mine[i] = rng.gaussian(a, b);
+        theirs[i] = std::normal_distribution<double>(b, a)(engine);
+    }
+    EXPECT_EQ(0, std::memcmp(mine.data(), theirs.data(), kDraws * sizeof(double)));
+    EXPECT_TRUE(rng.engine() == engine);
+
+    for (std::size_t i = 0; i < kDraws; ++i) {
+        const auto& [a, b] = params[i % 4];
+        const double lo = b;
+        const double hi = b + a;
+        mine[i] = rng.uniform(lo, hi);
+        theirs[i] = std::uniform_real_distribution<double>(lo, hi)(engine);
+    }
+    EXPECT_EQ(0, std::memcmp(mine.data(), theirs.data(), kDraws * sizeof(double)));
+    EXPECT_TRUE(rng.engine() == engine);
+}
+
+#endif  // __GLIBCXX__
+
+/// Bytewise table CRC-32 (reflected 0xEDB88320): the reference the
+/// slicing-by-8 implementation must agree with.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t len, std::uint32_t crc) {
+    crc = ~crc;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+TEST(Crc32, CheckValue) {
+    EXPECT_EQ(common::crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(common::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryOffsetAndLength) {
+    std::vector<unsigned char> buffer(16 + 100);
+    std::mt19937_64 gen(7);
+    for (auto& b : buffer) b = static_cast<unsigned char>(gen());
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 100; ++len) {
+            const unsigned char* p = buffer.data() + offset;
+            ASSERT_EQ(common::crc32(p, len), bytewise_crc32(p, len, 0))
+                << "offset " << offset << " len " << len;
+            // Chained through `crc`, split at every point: equal to one pass.
+            const std::uint32_t whole = bytewise_crc32(p, len, 0x1234'5678u);
+            for (std::size_t split = 0; split <= len; split += 7) {
+                const std::uint32_t head = common::crc32(p, split, 0x1234'5678u);
+                ASSERT_EQ(common::crc32(p + split, len - split, head), whole)
+                    << "offset " << offset << " len " << len << " split " << split;
+            }
+        }
+    }
 }
 
 TEST(Cli, ParsesKeyValueAndFlags) {

@@ -5,11 +5,15 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_plan_cache.hpp"
+#include "dsp/simd.hpp"
 #include "hw/adc.hpp"
 #include "hw/frontend.hpp"
 #include "hw/mixer.hpp"
@@ -181,6 +185,138 @@ TEST(MixerTest, RejectsWrongBufferSize) {
     std::vector<double> bad(100);
     rf::PropagationPath path;
     EXPECT_THROW(mixer.synthesize({&path, 1}, bad), std::invalid_argument);
+}
+
+/// The one-path-at-a-time phasor loop DechirpMixer ran before its
+/// path-parallel lane kernel, kept verbatim as the bit-exact reference.
+class ReferenceMixer {
+  public:
+    ReferenceMixer(const witrack::FmcwParams& fmcw, SweepNonlinearity nonlinearity)
+        : fmcw_(fmcw), nonlinearity_(nonlinearity) {
+        if (!nonlinearity_.negligible()) {
+            const std::size_t n = fmcw_.samples_per_sweep();
+            ripple_table_.resize(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double t = static_cast<double>(i) / fmcw_.sample_rate_hz;
+                ripple_table_[i] =
+                    std::sin(2.0 * M_PI * nonlinearity_.ripple_frequency_hz * t +
+                             nonlinearity_.phase_rad);
+            }
+        }
+    }
+
+    void synthesize(std::span<const rf::PropagationPath> paths,
+                    std::span<double> out) const {
+        const std::size_t n = fmcw_.samples_per_sweep();
+        const double slope = fmcw_.slope();
+        const double fs = fmcw_.sample_rate_hz;
+
+        for (const auto& path : paths) {
+            if (path.amplitude <= 0.0) continue;
+            const double tau = path.round_trip_m / kSpeedOfLight;
+            const double beat_hz = slope * tau;
+            // Phase at t = 0: carrier-delay term minus the residual video phase.
+            const double phi0 = 2.0 * M_PI * (fmcw_.start_frequency_hz * tau -
+                                              0.5 * slope * tau * tau) +
+                                path.phase_rad;
+            const double dphi = 2.0 * M_PI * beat_hz / fs;
+
+            std::complex<double> phasor(std::cos(phi0), std::sin(phi0));
+            const std::complex<double> rotation(std::cos(dphi), std::sin(dphi));
+            const double amp = path.amplitude;
+
+            if (ripple_table_.empty()) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    out[i] += amp * phasor.real();
+                    phasor *= rotation;
+                    if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);  // drift control
+                }
+            } else {
+                // cos(theta + delta) ~ cos(theta) - delta*sin(theta) with
+                // delta(t) = 2*pi*A_r*tau*ripple(t); |delta| << 1 for realistic
+                // PLL residuals.
+                const double delta_scale =
+                    2.0 * M_PI * nonlinearity_.ripple_amplitude_hz * tau;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double delta = delta_scale * ripple_table_[i];
+                    out[i] += amp * (phasor.real() - delta * phasor.imag());
+                    phasor *= rotation;
+                    if ((i & 0x1FF) == 0x1FF) phasor /= std::abs(phasor);
+                }
+            }
+        }
+    }
+
+  private:
+    witrack::FmcwParams fmcw_;
+    SweepNonlinearity nonlinearity_;
+    std::vector<double> ripple_table_;
+};
+
+/// Pins the SIMD dispatch level for one scope (as in test_fft).
+class ForcedLevel {
+  public:
+    explicit ForcedLevel(dsp::simd::Level level)
+        : previous_(dsp::simd::active()), granted_(dsp::simd::force(level)) {}
+    ~ForcedLevel() { dsp::simd::force(previous_); }
+    dsp::simd::Level granted() const { return granted_; }
+
+  private:
+    dsp::simd::Level previous_;
+    dsp::simd::Level granted_;
+};
+
+TEST(MixerTest, LaneKernelIsBitIdenticalToOnePathLoop) {
+    // Every granted dispatch level, with and without sweep ripple, for
+    // 0..13 paths (every remainder of the 4-path pass, twice) with zero and
+    // negative amplitudes mixed in, on a 2500-sample sweep (renormalisation
+    // at 511, 1023, ..., then a partial block) and a 1024-sample one (the
+    // last block renormalises too), accumulating onto a non-zero buffer.
+    FmcwParams long_sweep;
+    FmcwParams exact_blocks;
+    exact_blocks.sweep_duration_s = 1.024e-3;
+    ASSERT_EQ(exact_blocks.samples_per_sweep(), 1024u);
+    const SweepNonlinearity ripples[] = {SweepNonlinearity{},
+                                         SweepNonlinearity{4e5, 4000.0, 0.3}};
+
+    std::mt19937_64 gen(0x6d697865);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<rf::PropagationPath> paths(13);
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+        paths[p].round_trip_m = 1.0 + 40.0 * unit(gen);
+        paths[p].amplitude = 1e-3 + unit(gen);
+        paths[p].phase_rad = 2.0 * M_PI * unit(gen);
+    }
+    paths[2].amplitude = 0.0;
+    paths[5].amplitude = -0.25;
+    paths[11].amplitude = -0.0;
+
+    for (const auto level :
+         {dsp::simd::Level::kScalar, dsp::simd::Level::kSse2, dsp::simd::Level::kAvx2}) {
+        ForcedLevel guard(level);
+        if (guard.granted() != level) continue;  // hardware lacks this level
+        SCOPED_TRACE(dsp::simd::to_string(level));
+        for (const FmcwParams& fmcw : {long_sweep, exact_blocks}) {
+            for (const auto& ripple : ripples) {
+                const DechirpMixer mixer(fmcw, ripple);
+                const ReferenceMixer reference(fmcw, ripple);
+                std::vector<double> base(fmcw.samples_per_sweep());
+                for (auto& v : base) v = unit(gen) - 0.5;
+                for (std::size_t count = 0; count <= paths.size(); ++count) {
+                    SCOPED_TRACE("n=" + std::to_string(base.size()) + " ripple=" +
+                                 std::to_string(!ripple.negligible()) +
+                                 " paths=" + std::to_string(count));
+                    const std::span<const rf::PropagationPath> subset(paths.data(), count);
+                    auto expected = base;
+                    auto actual = base;
+                    reference.synthesize(subset, expected);
+                    mixer.synthesize(subset, actual);
+                    EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                                             expected.size() * sizeof(double)));
+                }
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------- ADC
