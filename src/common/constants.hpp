@@ -83,12 +83,22 @@ struct FmcwParams {
 
     /// Validate physical consistency; throws std::invalid_argument.
     void validate() const {
+        // NaN passes every `<= 0` test below, so reject non-finite fields
+        // first.
+        if (!std::isfinite(start_frequency_hz) || !std::isfinite(bandwidth_hz) ||
+            !std::isfinite(sweep_duration_s) || !std::isfinite(sample_rate_hz) ||
+            !std::isfinite(tx_power_w))
+            throw std::invalid_argument("FmcwParams: non-finite parameter");
         if (bandwidth_hz <= 0 || sweep_duration_s <= 0 || sample_rate_hz <= 0)
             throw std::invalid_argument("FmcwParams: non-positive sweep parameter");
         if (tx_power_w <= 0)
             throw std::invalid_argument("FmcwParams: non-positive transmit power");
         if (sweeps_per_frame == 0)
             throw std::invalid_argument("FmcwParams: sweeps_per_frame must be >= 1");
+        // samples_per_sweep() casts to size_t: the count must be exact in a
+        // double (so the cast is defined) before it is taken.
+        if (!(sweep_duration_s * sample_rate_hz < 0x1p53))
+            throw std::invalid_argument("FmcwParams: too many samples per sweep");
         if (samples_per_sweep() < 16)
             throw std::invalid_argument("FmcwParams: sweep too short for the sample rate");
     }

@@ -93,7 +93,7 @@ Fft::Fft(std::size_t n, std::size_t n_nonzero)
     if (n_ == 0) throw std::invalid_argument("Fft: size must be positive");
 
     if (pow2_) {
-        kernel_ = std::make_unique<kernels::Pow2Kernel>(
+        kernel_ = std::make_unique<Pow2Kernel>(
             n_, effective_nonzero(n_, n_nonzero));
         return;
     }
@@ -112,7 +112,7 @@ Fft::Fft(std::size_t n, std::size_t n_nonzero)
     // The data-side convolution input is nonzero only in its first n_
     // entries of m_, so its forward transform is planned pruned; the
     // spectrum-side inverse is dense.
-    conv_kernel_ = std::make_unique<kernels::Pow2Kernel>(m_, n_);
+    conv_kernel_ = std::make_unique<Pow2Kernel>(m_, n_);
     chirp_spec_re_.assign(m_, 0.0);
     chirp_spec_im_.assign(m_, 0.0);
     chirp_spec_re_[0] = chirp_re_[0];

@@ -81,7 +81,7 @@ class Fft {
     void inverse_soa(double* re, double* im, FftScratch& scratch) const;
 
     static bool is_power_of_two(std::size_t n) {
-        return kernels::Pow2Kernel::is_power_of_two(n);
+        return Pow2Kernel::is_power_of_two(n);
     }
 
   private:
@@ -91,7 +91,7 @@ class Fft {
     bool pow2_ = false;
 
     // Power-of-two path: the SoA radix-4 kernel plan.
-    std::unique_ptr<kernels::Pow2Kernel> kernel_;
+    std::unique_ptr<Pow2Kernel> kernel_;
 
     // Bluestein state: convolution length m_ (power of two >= 2n-1), the
     // quadratic chirp b_k = exp(+i*pi*k^2/n) as SoA planes, the forward
@@ -101,7 +101,7 @@ class Fft {
     std::size_t m_ = 0;
     std::vector<double> chirp_re_, chirp_im_;
     std::vector<double> chirp_spec_re_, chirp_spec_im_;
-    std::unique_ptr<kernels::Pow2Kernel> conv_kernel_;
+    std::unique_ptr<Pow2Kernel> conv_kernel_;
 };
 
 /// Real-input DFT plan of a fixed size N with a true r2c half-spectrum

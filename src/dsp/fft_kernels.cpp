@@ -3,10 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/fft_kernels_impl.hpp"
-#include "dsp/simd.hpp"
+#include "dsp/kernels.hpp"
 
-namespace witrack::dsp::kernels {
+namespace witrack::dsp {
 
 // The transform is an iterative Stockham autosort: every stage reads the
 // quartet {base, base + n/4, base + n/2, base + 3n/4} (base = s*p + q) from
@@ -62,65 +61,17 @@ Pow2Kernel::Pow2Kernel(std::size_t n, std::size_t n_nonzero) : n_(n) {
     if (sub == 2) stages_.push_back({2, n_ / 2, 1, tw_.size()});
 }
 
-namespace detail {
-
-// Scalar level: always available, and the tail lane of every vector loop.
-
-void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi, std::size_t nzb) {
-    run_forward_t<simd::ScalarD>(plan, xr, xi, wr, wi, nzb);
-}
-
-void inverse_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi) {
-    run_inverse_t<simd::ScalarD>(plan, xr, xi, wr, wi);
-}
-
-}  // namespace detail
-
-namespace {
-
-// Runtime dispatch. simd::active() never exceeds simd::detect(), so the
-// sse2/avx2 entry points are only reached on hardware that supports them
-// (the per-ISA translation units degrade to the next level down when the
-// *build* lacks the ISA entirely, e.g. a non-x86 target).
-
-void dispatch_forward(const Pow2Kernel& plan, double* xr, double* xi,
-                      double* wr, double* wi, std::size_t nzb) {
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::forward_avx2(plan, xr, xi, wr, wi, nzb);
-            return;
-        case simd::Level::kSse2:
-            detail::forward_sse2(plan, xr, xi, wr, wi, nzb);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::forward_scalar(plan, xr, xi, wr, wi, nzb);
-}
-
-}  // namespace
-
 void Pow2Kernel::forward(double* xr, double* xi, double* wr, double* wi) const {
-    dispatch_forward(*this, xr, xi, wr, wi, nz_);
+    kernels().forward(*this, xr, xi, wr, wi, nz_);
 }
 
 void Pow2Kernel::forward_dense(double* xr, double* xi, double* wr,
                                double* wi) const {
-    dispatch_forward(*this, xr, xi, wr, wi, n_);
+    kernels().forward(*this, xr, xi, wr, wi, n_);
 }
 
 void Pow2Kernel::inverse(double* xr, double* xi, double* wr, double* wi) const {
-    switch (simd::active()) {
-        case simd::Level::kAvx2:
-            detail::inverse_avx2(*this, xr, xi, wr, wi);
-            return;
-        case simd::Level::kSse2:
-            detail::inverse_sse2(*this, xr, xi, wr, wi);
-            return;
-        case simd::Level::kScalar: break;
-    }
-    detail::inverse_scalar(*this, xr, xi, wr, wi);
+    kernels().inverse(*this, xr, xi, wr, wi);
 }
 
-}  // namespace witrack::dsp::kernels
+}  // namespace witrack::dsp

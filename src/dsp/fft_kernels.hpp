@@ -3,9 +3,10 @@
 // sequentially-laid-out twiddle tables, and *separate* forward/inverse
 // butterfly loops (no direction branch and no conj inside the hot loop).
 // The butterfly loops are written once as lane templates over the SIMD
-// layer in simd.hpp (fft_kernels_impl.hpp) and instantiated per ISA --
-// scalar, SSE2, AVX2 -- with a runtime-dispatched entry point, so one plan
-// serves every dispatch level with bit-identical results.
+// layer in simd.hpp (fft_kernels_impl.hpp) and instantiated once per
+// dispatch level -- scalar, SSE2, AVX2 -- into that level's dsp::Kernels
+// table (kernels.hpp), so one plan serves every level with bit-identical
+// results.
 //
 // Input pruning: a kernel built with n_nonzero < n treats the input tail
 // [n_nonzero, n) as structurally zero and skips the early-stage butterflies
@@ -21,11 +22,11 @@
 #include <cstddef>
 #include <vector>
 
-namespace witrack::dsp::kernels {
+namespace witrack::dsp {
 
 /// One stage of the iterative plan. Public (rather than a Pow2Kernel
-/// private) so the per-ISA butterfly translation units can walk the plan;
-/// see fft_kernels_impl.hpp.
+/// private) so the lane-templated butterfly loops can walk the plan; see
+/// fft_kernels_impl.hpp.
 struct FftStage {
     std::size_t radix;      ///< 4, or 2 for the final fixup stage
     std::size_t stride;     ///< s: n / sub_n for this stage
@@ -65,7 +66,7 @@ class Pow2Kernel {
     }
 
     /// The stage sequence and twiddle storage, exposed read-only for the
-    /// per-ISA kernel translation units.
+    /// lane-templated butterfly loops.
     const std::vector<FftStage>& plan_stages() const { return stages_; }
     const std::vector<double>& twiddles() const { return tw_; }
 
@@ -83,4 +84,4 @@ class Pow2Kernel {
     std::vector<double> tw_;
 };
 
-}  // namespace witrack::dsp::kernels
+}  // namespace witrack::dsp

@@ -11,38 +11,27 @@
 // butterfly group. Early stages have stride s < width and fall through to
 // the scalar tail.
 //
-// This header is included by the per-ISA translation units
-// (fft_kernels.cpp, fft_kernels_sse2.cpp, fft_kernels_avx2.cpp), each of
-// which instantiates the templates with its lane and exposes the plain
-// entry points declared at the bottom; dispatch lives in fft_kernels.cpp.
+// Each kernels_<level>.cpp instantiates the templates with its own lane
+// only, as the forward and inverse entries of its dsp::Kernels table.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 
 #include "dsp/fft_kernels.hpp"
 #include "dsp/simd.hpp"
 
-namespace witrack::dsp::kernels::detail {
+namespace witrack::dsp::detail {
+
+namespace {
 
 /// ceil(t / s); exact division everywhere the pruning invariant holds.
 inline std::size_t ceil_div(std::size_t t, std::size_t s) {
     return (t + s - 1) / s;
 }
 
-/// Vector-main + scalar-tail driver: runs `body` over [0, count) with lane
-/// L for the aligned span and the width-1 lane of the same element type
-/// for the remainder. `body` is a generic lambda invoked as body<V>(i).
-template <class L, class Body>
-inline void lane_loop(std::size_t count, Body&& body) {
-    using S = simd::Scalar<typename L::elem>;
-    std::size_t i = 0;
-    if constexpr (L::width > 1) {
-        for (; i + L::width <= count; i += L::width)
-            body.template operator()<L>(i);
-    }
-    for (; i < count; ++i) body.template operator()<S>(i);
-}
+}  // namespace
 
 // -------------------------------------------------- single transform
 
@@ -60,8 +49,8 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     if (stages.size() % 2 == 1) {
         // Odd stage count: start from the work planes so the final stage
         // lands the result in (xr, xi). Only the live prefix needs copying.
-        std::copy(xr, xr + nzb, wr);
-        std::copy(xi, xi + nzb, wi);
+        std::memcpy(wr, xr, nzb * sizeof(double));
+        std::memcpy(wi, xi, nzb * sizeof(double));
         sr = wr;
         si = wi;
         dr = xr;
@@ -76,7 +65,7 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const std::size_t h = n / 2;
             const std::size_t t0 = std::min(nzb, h);
             const std::size_t t1 = nzb > h ? nzb - h : 0;
-            lane_loop<L>(t1, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(t1, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(sr + q), ai = V::load(si + q);
                 const auto br = V::load(sr + q + h), bi = V::load(si + q + h);
                 V::store(dr + q, V::add(ar, br));
@@ -122,7 +111,7 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const double* x0i = si + s * p;
             double* y0r = dr + 4 * s * p;
             double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(s, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
                 const auto br = V::load(x0r + q + n4), bi = V::load(x0i + q + n4);
                 const auto cr = V::load(x0r + q + 2 * n4);
@@ -162,7 +151,7 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const double* x0i = si + s * p;
             double* y0r = dr + 4 * s * p;
             double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(s, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
                 const auto br = V::load(x0r + q + n4), bi = V::load(x0i + q + n4);
                 const auto cr = V::load(x0r + q + 2 * n4);
@@ -194,7 +183,7 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const double* x0i = si + s * p;
             double* y0r = dr + 4 * s * p;
             double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(s, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
                 const auto br = V::load(x0r + q + n4), bi = V::load(x0i + q + n4);
                 V::store(y0r + q, V::add(ar, br));
@@ -222,7 +211,7 @@ void run_forward_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const double* x0i = si + s * p;
             double* y0r = dr + 4 * s * p;
             double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(s, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
                 V::store(y0r + q, ar);
                 V::store(y0i + q, ai);
@@ -262,8 +251,8 @@ void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     double* dr = wr;
     double* di = wi;
     if (stages.size() % 2 == 1) {
-        std::copy(xr, xr + n, wr);
-        std::copy(xi, xi + n, wi);
+        std::memcpy(wr, xr, n * sizeof(double));
+        std::memcpy(wi, xi, n * sizeof(double));
         sr = wr;
         si = wi;
         dr = xr;
@@ -275,7 +264,7 @@ void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
         const std::size_t s = st.stride;
         if (st.radix == 2) {
             const std::size_t h = n / 2;
-            lane_loop<L>(h, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(h, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(sr + q), ai = V::load(si + q);
                 const auto br = V::load(sr + q + h), bi = V::load(si + q + h);
                 V::store(dr + q, V::add(ar, br));
@@ -301,7 +290,7 @@ void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
             const double* x0i = si + s * p;
             double* y0r = dr + 4 * s * p;
             double* y0i = di + 4 * s * p;
-            lane_loop<L>(s, [&]<class V>(std::size_t q) {
+            simd::lane_loop<L>(s, [&]<class V>(std::size_t q) {
                 const auto ar = V::load(x0r + q), ai = V::load(x0i + q);
                 const auto br = V::load(x0r + q + n4), bi = V::load(x0i + q + n4);
                 const auto cr = V::load(x0r + q + 2 * n4);
@@ -337,32 +326,11 @@ void run_inverse_t(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
     }
 
     const double scale = 1.0 / static_cast<double>(n);
-    lane_loop<L>(n, [&]<class V>(std::size_t i) {
+    simd::lane_loop<L>(n, [&]<class V>(std::size_t i) {
         const auto k = V::set1(scale);
         V::store(xr + i, V::mul(V::load(xr + i), k));
         V::store(xi + i, V::mul(V::load(xi + i), k));
     });
 }
 
-// ------------------------------------------------ per-level entry points
-//
-// Each translation unit defines its level's set (fft_kernels.cpp: scalar +
-// the dispatch; fft_kernels_sse2.cpp / fft_kernels_avx2.cpp: the vector
-// levels, falling back to the next level down when the build target lacks
-// the ISA entirely).
-
-void forward_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi, std::size_t nzb);
-void forward_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi, std::size_t nzb);
-void forward_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi, std::size_t nzb);
-
-void inverse_scalar(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                    double* wi);
-void inverse_sse2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi);
-void inverse_avx2(const Pow2Kernel& plan, double* xr, double* xi, double* wr,
-                  double* wi);
-
-}  // namespace witrack::dsp::kernels::detail
+}  // namespace witrack::dsp::detail

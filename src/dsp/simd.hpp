@@ -1,23 +1,33 @@
-// Width-agnostic SIMD lane layer for the FFT kernel engine: a tiny set of
-// lane structs (load/store/broadcast/add/sub/mul over a register of `width`
-// elements) with scalar, SSE2 (128-bit) and AVX2 (256-bit) implementations,
-// plus the runtime dispatch level the per-ISA kernel translation units are
-// selected by.
+// Width-agnostic SIMD lane layer for the FFT, analysis-tail and mixer
+// kernels: a tiny set of lane structs (load/store/broadcast/add/sub/mul over
+// a register of `width` elements) with scalar, SSE2 (128-bit) and AVX2
+// (256-bit) implementations, plus the runtime dispatch level.
 //
-// The butterfly code in fft_kernels_impl.hpp is written once as templates
-// over a lane struct; each ISA gets its own translation unit (compiled with
-// the matching -m flags) that instantiates them, and dispatch picks the
-// best level the CPU supports at runtime. Every lane performs exactly the
-// same IEEE-754 operations per element -- no FMA, no reassociation -- so
-// all dispatch levels produce bit-identical results (asserted by
-// tests/test_fft.cpp).
+// The kernels are written once as templates over a lane struct
+// (fft_kernels_impl.hpp, tail_kernels_impl.hpp, tone_kernels_impl.hpp).
+// Each level's kernel table (dsp/kernels.hpp) is built from them in its own
+// translation unit -- kernels_scalar.cpp, kernels_sse2.cpp and
+// kernels_avx2.cpp, the last one the only file compiled with -mavx2 -- and
+// dsp::kernels() picks the table of active() on every call. Every lane
+// performs exactly the same IEEE-754 operations per element -- no FMA, no
+// reassociation -- so all dispatch levels produce bit-identical results
+// (asserted by tests/test_fft.cpp, test_tail.cpp and test_hw.cpp).
+//
+// The lanes have internal linkage, and so has every template instantiated
+// over one: each translation unit keeps its own copies. An implicit
+// instantiation with external linkage is COMDAT, and the linker could keep
+// a ScalarD or SseD copy built under -mavx2 -- VEX code that faults on a
+// CPU without AVX2 -- for the levels below. For the same reason the
+// kernels avoid out-of-line library templates over double (std::bit_cast,
+// std::copy, numeric_limits), which an unoptimized build emits as COMDAT.
+// A build without an ISA aliases that lane to the next one down
+// (SseD = ScalarD, AvxD = SseD), which points its table at the lower level.
 //
 // The WITRACK_SIMD environment variable (scalar | sse2 | avx2) clamps the
 // active level below the detected one for testing and triage; requests the
 // hardware cannot honor fall back to the best supported level.
 #pragma once
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -43,9 +53,9 @@ const char* to_string(Level level) noexcept;
 /// Best level this CPU supports (queried once, constant thereafter).
 Level detect() noexcept;
 
-/// The level the kernels dispatch on: detect(), clamped down by the
-/// WITRACK_SIMD environment variable (read once, on first use) or by the
-/// most recent force() call. Never above detect().
+/// The level whose table dsp::kernels() returns: detect(), clamped down by
+/// the WITRACK_SIMD environment variable (read once, on first use) or by
+/// the most recent force() call. Never above detect().
 Level active() noexcept;
 
 /// Test hook: override the active level (clamped to detect() -- forcing a
@@ -76,6 +86,8 @@ Level force(Level level) noexcept;
 // are exact, and min/max share one tie/NaN rule across lanes -- so the new
 // ops keep the cross-level bit-identity contract the arithmetic trio set.
 
+namespace {  // internal linkage: see the header comment
+
 /// Width-1 fallback lane; also the tail lane of every vector loop.
 template <class T>
 struct Scalar {
@@ -98,25 +110,22 @@ struct Scalar {
     static reg cmpgt(reg a, reg b) noexcept { return mask(a > b); }
     static reg cmpge(reg a, reg b) noexcept { return mask(a >= b); }
     static reg and_(reg a, reg b) noexcept {
-        return std::bit_cast<reg>(static_cast<bits>(std::bit_cast<bits>(a) &
-                                                    std::bit_cast<bits>(b)));
+        return from_bits(to_bits(a) & to_bits(b));
     }
     static reg or_(reg a, reg b) noexcept {
-        return std::bit_cast<reg>(static_cast<bits>(std::bit_cast<bits>(a) |
-                                                    std::bit_cast<bits>(b)));
+        return from_bits(to_bits(a) | to_bits(b));
     }
     static reg andnot(reg a, reg b) noexcept {
-        return std::bit_cast<reg>(static_cast<bits>(~std::bit_cast<bits>(a) &
-                                                    std::bit_cast<bits>(b)));
+        return from_bits(~to_bits(a) & to_bits(b));
     }
     static reg blend(reg m, reg a, reg b) noexcept {
         return or_(and_(m, a), andnot(m, b));
     }
 
   private:
-    static reg mask(bool b) noexcept {
-        return std::bit_cast<reg>(b ? static_cast<bits>(~bits{0}) : bits{0});
-    }
+    static bits to_bits(reg v) noexcept { return __builtin_bit_cast(bits, v); }
+    static reg from_bits(bits v) noexcept { return __builtin_bit_cast(reg, v); }
+    static reg mask(bool b) noexcept { return from_bits(b ? ~bits{0} : bits{0}); }
 };
 
 using ScalarD = Scalar<double>;
@@ -147,6 +156,8 @@ struct SseD {
         return or_(and_(m, a), andnot(m, b));
     }
 };
+#else
+using SseD = ScalarD;
 #endif  // __SSE2__
 
 #if defined(__AVX2__)
@@ -183,6 +194,24 @@ struct AvxD {
         return or_(and_(m, a), andnot(m, b));
     }
 };
+#else
+using AvxD = SseD;
 #endif  // __AVX2__
+
+/// Vector-main + scalar-tail driver: runs `body` over [0, count) with lane
+/// L for the aligned span and the width-1 lane of the same element type
+/// for the remainder. `body` is a generic lambda invoked as body<V>(i).
+template <class L, class Body>
+inline void lane_loop(std::size_t count, Body&& body) {
+    using S = Scalar<typename L::elem>;
+    std::size_t i = 0;
+    if constexpr (L::width > 1) {
+        for (; i + L::width <= count; i += L::width)
+            body.template operator()<L>(i);
+    }
+    for (; i < count; ++i) body.template operator()<S>(i);
+}
+
+}  // namespace
 
 }  // namespace witrack::dsp::simd

@@ -4,7 +4,7 @@
 // the local-maximum candidate mask behind dsp::find_peaks.
 //
 // Same contract as the FFT kernel engine (fft_kernels.hpp): every dispatch
-// level (scalar / SSE2 / AVX2, selected by simd::active()) performs the
+// level (scalar / SSE2 / AVX2, one dsp::Kernels table each) performs the
 // same IEEE-754 operations per element, so all levels are bit-identical --
 // asserted by tests/test_tail.cpp. The reductions (extent_moments,
 // max_bin) keep a fixed logical width of four accumulator slots regardless

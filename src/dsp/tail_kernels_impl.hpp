@@ -1,10 +1,9 @@
 // Lane-templated implementations of the analysis-tail kernels
 // (tail_kernels.hpp), shared by every dispatch level. Same discipline as
 // fft_kernels_impl.hpp: one template per kernel over the simd.hpp lane
-// vocabulary, instantiated by the per-ISA translation units
-// (tail_kernels.cpp, tail_kernels_sse2.cpp, tail_kernels_avx2.cpp), each
-// built with -ffp-contract=off so no level contracts a mul+add into an
-// FMA; dispatch lives in tail_kernels.cpp.
+// vocabulary, instantiated with its own lane only by each
+// kernels_<level>.cpp (all built with -ffp-contract=off, so no level
+// contracts a mul+add into an FMA) into that level's dsp::Kernels table.
 //
 // The elementwise kernels are bit-identical across levels because every
 // op (sub, mul, add, correctly-rounded sqrt, exact compares and bit
@@ -23,29 +22,17 @@
 
 namespace witrack::dsp::tail::detail {
 
-/// Vector-main + scalar-tail driver: runs `body` over [0, count) with lane
-/// L for the aligned span and the width-1 lane of the same element type
-/// for the remainder. `body` is a generic lambda invoked as body<V>(i).
-template <class L, class Body>
-inline void lane_loop(std::size_t count, Body&& body) {
-    using S = simd::Scalar<typename L::elem>;
-    std::size_t i = 0;
-    if constexpr (L::width > 1) {
-        for (; i + L::width <= count; i += L::width)
-            body.template operator()<L>(i);
-    }
-    for (; i < count; ++i) body.template operator()<S>(i);
-}
-
 /// Logical accumulator width of the reductions: fixed so every dispatch
 /// level performs the same per-slot accumulation sequence.
 inline constexpr std::size_t kSlots = 4;
+
+inline constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
 
 template <class L>
 void run_diff_magnitude_t(const double* cur_re, const double* cur_im,
                           double* prev_re, double* prev_im, double* out,
                           std::size_t n) {
-    lane_loop<L>(n, [&]<class V>(std::size_t i) {
+    simd::lane_loop<L>(n, [&]<class V>(std::size_t i) {
         const auto xr = V::load(cur_re + i);
         const auto xi = V::load(cur_im + i);
         const auto dr = V::sub(xr, V::load(prev_re + i));
@@ -61,7 +48,7 @@ template <class L>
 void run_scaled_diff_magnitude_t(const double* cur_re, const double* cur_im,
                                  const double* ref_re, const double* ref_im,
                                  double scale, double* out, std::size_t n) {
-    lane_loop<L>(n, [&]<class V>(std::size_t i) {
+    simd::lane_loop<L>(n, [&]<class V>(std::size_t i) {
         const auto s = V::set1(scale);
         const auto dr = V::sub(V::load(cur_re + i), V::mul(V::load(ref_re + i), s));
         const auto di = V::sub(V::load(cur_im + i), V::mul(V::load(ref_im + i), s));
@@ -147,7 +134,7 @@ std::size_t run_max_bin_t(const double* v, std::size_t n) {
 
     reg best[R];
     for (std::size_t r = 0; r < R; ++r)
-        best[r] = L::set1(-std::numeric_limits<double>::infinity());
+        best[r] = L::set1(kMinusInf);
 
     std::size_t i = 0;
     for (; i + kSlots <= n; i += kSlots)
@@ -178,7 +165,7 @@ void run_peak_candidates_t(const double* v, std::size_t n, double threshold,
     out[n - 1] = 0.0;
     // Interior predicate over i in [1, n-1); the unaligned neighbor loads
     // keep it a single streaming pass.
-    lane_loop<L>(n - 2, [&]<class V>(std::size_t k) {
+    simd::lane_loop<L>(n - 2, [&]<class V>(std::size_t k) {
         const std::size_t i = k + 1;
         const auto x = V::load(v + i);
         const auto above = // !(x < t): NaN stays a candidate for the
@@ -189,46 +176,5 @@ void run_peak_candidates_t(const double* v, std::size_t n, double threshold,
         V::store(out + i, V::and_(above, V::set1(1.0)));
     });
 }
-
-// Per-level entry points, one set per ISA translation unit. On hardware
-// (or builds) lacking an ISA the TU compiles forwarding stubs so the
-// symbols always link; dispatch never selects them there.
-void diff_magnitude_scalar(const double* cur_re, const double* cur_im,
-                           double* prev_re, double* prev_im, double* out,
-                           std::size_t n);
-void diff_magnitude_sse2(const double* cur_re, const double* cur_im,
-                         double* prev_re, double* prev_im, double* out,
-                         std::size_t n);
-void diff_magnitude_avx2(const double* cur_re, const double* cur_im,
-                         double* prev_re, double* prev_im, double* out,
-                         std::size_t n);
-
-void scaled_diff_magnitude_scalar(const double* cur_re, const double* cur_im,
-                                  const double* ref_re, const double* ref_im,
-                                  double scale, double* out, std::size_t n);
-void scaled_diff_magnitude_sse2(const double* cur_re, const double* cur_im,
-                                const double* ref_re, const double* ref_im,
-                                double scale, double* out, std::size_t n);
-void scaled_diff_magnitude_avx2(const double* cur_re, const double* cur_im,
-                                const double* ref_re, const double* ref_im,
-                                double scale, double* out, std::size_t n);
-
-Moments extent_moments_scalar(const double* v, std::size_t lo, std::size_t hi,
-                              double threshold, double bin_m);
-Moments extent_moments_sse2(const double* v, std::size_t lo, std::size_t hi,
-                            double threshold, double bin_m);
-Moments extent_moments_avx2(const double* v, std::size_t lo, std::size_t hi,
-                            double threshold, double bin_m);
-
-std::size_t max_bin_scalar(const double* v, std::size_t n);
-std::size_t max_bin_sse2(const double* v, std::size_t n);
-std::size_t max_bin_avx2(const double* v, std::size_t n);
-
-void peak_candidates_scalar(const double* v, std::size_t n, double threshold,
-                            double* out);
-void peak_candidates_sse2(const double* v, std::size_t n, double threshold,
-                          double* out);
-void peak_candidates_avx2(const double* v, std::size_t n, double threshold,
-                          double* out);
 
 }  // namespace witrack::dsp::tail::detail

@@ -2,10 +2,9 @@
 // real parts of rotating unit phasors (one beat tone per propagation path,
 // paper Eq. 1) into a baseband sweep, optionally with the first-order sweep
 // ripple term. Same discipline as tail_kernels_impl.hpp: one template over
-// the simd.hpp lane vocabulary, instantiated in the tail kernels' per-ISA
-// translation units (tail_kernels.cpp, tail_kernels_sse2.cpp,
-// tail_kernels_avx2.cpp), each built with -ffp-contract=off; dispatch
-// lives in src/hw/mixer.cpp.
+// the simd.hpp lane vocabulary, instantiated with its own lane only by each
+// kernels_<level>.cpp (built with -ffp-contract=off) as the accumulate
+// entry of that level's dsp::Kernels table.
 //
 // The lanes run paths, not samples: one pass carries kTonesPerPass paths
 // (one AvxD register, two SseD or four ScalarD) through the whole sweep, so
@@ -28,21 +27,10 @@
 #include <cmath>
 #include <cstddef>
 
+#include "dsp/kernels.hpp"
 #include "dsp/simd.hpp"
 
 namespace witrack::dsp::tone {
-
-/// One beat tone, fully resolved: the phasor at sample 0, its per-sample
-/// rotation, the amplitude and the ripple scale (2*pi*A_r*tau; ignored
-/// when the sweep has no ripple).
-struct Tone {
-    double re = 1.0;
-    double im = 0.0;
-    double rot_re = 1.0;
-    double rot_im = 0.0;
-    double amp = 0.0;
-    double ripple_scale = 0.0;
-};
 
 inline constexpr std::size_t kTonesPerPass = 4;
 inline constexpr std::size_t kRenormPeriod = 512;
@@ -135,14 +123,5 @@ void run_tones_t(const Tone* tones, std::size_t count, const double* ripple,
     else
         run.template operator()<false>();
 }
-
-// Per-level entry points. On builds lacking an ISA the TU compiles a
-// forwarding stub so the symbol always links; dispatch never selects it.
-void accumulate_scalar(const Tone* tones, std::size_t count, const double* ripple,
-                       double* out, std::size_t n);
-void accumulate_sse2(const Tone* tones, std::size_t count, const double* ripple,
-                     double* out, std::size_t n);
-void accumulate_avx2(const Tone* tones, std::size_t count, const double* ripple,
-                     double* out, std::size_t n);
 
 }  // namespace witrack::dsp::tone

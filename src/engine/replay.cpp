@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 
 #include "common/serialize.hpp"
 
@@ -23,6 +24,18 @@ void read_or_throw(std::istream& in, T& value, const char* what) {
 
 void read_vec3(std::istream& in, geom::Vec3& v, const char* what) {
     common::read_vec3(in, v, "ReplaySource", what);
+}
+
+/// Runs a header validator, reporting its std::invalid_argument as the
+/// std::runtime_error every corrupt recording throws.
+template <typename Validate>
+void check_header(Validate&& validate) {
+    try {
+        validate();
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(std::string("ReplaySource: corrupt header: ") +
+                                 e.what());
+    }
 }
 
 }  // namespace
@@ -116,14 +129,23 @@ ReplaySource::ReplaySource(const std::string& path)
     std::uint64_t sweeps_per_frame = 0;
     read_or_throw(in_, sweeps_per_frame, "fmcw");
     fmcw_.sweeps_per_frame = static_cast<std::size_t>(sweeps_per_frame);
-    fmcw_.validate();
+    check_header([&] { fmcw_.validate(); });
 
     read_vec3(in_, array_.tx, "array");
     read_vec3(in_, array_.boresight, "array");
     std::uint64_t num_rx = 0;
     read_or_throw(in_, num_rx, "array");
+    // Bound the frame before sizing anything: a corrupt count must fail
+    // cleanly, not drive an arbitrary allocation. A whole frame (every rx,
+    // every sweep) must fit the state format's chunk cap.
+    const std::uint64_t max_sweeps =
+        common::kMaxChunkBytes / (fmcw_.samples_per_sweep() * sizeof(double));
+    if (fmcw_.sweeps_per_frame > max_sweeps ||
+        num_rx > max_sweeps / fmcw_.sweeps_per_frame)
+        throw std::runtime_error("ReplaySource: corrupt header: frame too large");
     array_.rx.resize(static_cast<std::size_t>(num_rx));
     for (auto& rx : array_.rx) read_vec3(in_, rx, "array");
+    check_header([&] { array_.validate(); });
 }
 
 bool ReplaySource::next(Frame& frame) {

@@ -58,7 +58,9 @@ class Recorder {
 class ReplaySource : public FrameSource {
   public:
     /// Opens and validates the header; throws std::runtime_error on a
-    /// missing file, bad magic, or unsupported version.
+    /// missing file, bad magic, an unsupported version, invalid FMCW fields
+    /// or array (FmcwParams/ArrayGeometry::validate), or a frame larger than
+    /// common::kMaxChunkBytes.
     explicit ReplaySource(const std::string& path);
 
     bool next(Frame& frame) override;

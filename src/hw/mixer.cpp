@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/tone_kernels_impl.hpp"
+#include "dsp/kernels.hpp"
 
 namespace witrack::hw {
 
@@ -52,16 +52,7 @@ void DechirpMixer::synthesize(std::span<const PropagationPath> paths,
     }
 
     const double* ripple = ripple_table_.empty() ? nullptr : ripple_table_.data();
-    switch (dsp::simd::active()) {
-        case dsp::simd::Level::kAvx2:
-            dsp::tone::accumulate_avx2(tones.data(), tones.size(), ripple, out.data(), n);
-            return;
-        case dsp::simd::Level::kSse2:
-            dsp::tone::accumulate_sse2(tones.data(), tones.size(), ripple, out.data(), n);
-            return;
-        case dsp::simd::Level::kScalar: break;
-    }
-    dsp::tone::accumulate_scalar(tones.data(), tones.size(), ripple, out.data(), n);
+    dsp::kernels().accumulate(tones.data(), tones.size(), ripple, out.data(), n);
 }
 
 std::vector<double> DechirpMixer::synthesize(

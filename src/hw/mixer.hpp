@@ -12,10 +12,11 @@
 // every 512 samples). That recurrence is serial within a path, so the
 // tone-bank kernel (dsp/tone_kernels_impl.hpp) runs four paths per pass
 // across the SIMD lanes -- one AVX2 register, two SSE2 or four scalar --
-// dispatched on dsp::simd::active() (WITRACK_SIMD caps it). Every path
-// keeps its own arithmetic and each output sample adds the path
-// contributions one at a time in path order, so the output is
-// bit-identical to a path-at-a-time loop at every dispatch level.
+// through the kernel table of the active level (dsp/kernels.hpp;
+// WITRACK_SIMD caps it). Every path keeps its own arithmetic and each
+// output sample adds the path contributions one at a time in path order,
+// so the output is bit-identical to a path-at-a-time loop at every
+// dispatch level.
 #pragma once
 
 #include <span>

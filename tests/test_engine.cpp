@@ -1,11 +1,13 @@
 // Engine integration tests: the quickstart scenario reproduced purely via
 // Engine + event subscriptions, event-driven fall and pointing detection on
 // scripted motions, engine-vs-hand-wired parity, the replay format's
-// bit-identical round trip, per-stage latency accounting, and the bounded
-// history knobs (tracker track cap, fall-monitor alert ring).
+// bit-identical round trip and its rejection of hostile headers, per-stage
+// latency accounting, and the bounded history knobs (tracker track cap,
+// fall-monitor alert ring).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -14,6 +16,7 @@
 
 #include "apps/appliances.hpp"
 #include "apps/fall_monitor.hpp"
+#include "common/serialize.hpp"
 #include "common/units.hpp"
 #include "dsp/stats.hpp"
 #include "engine/engine.hpp"
@@ -378,6 +381,53 @@ TEST(Engine, ReplayRejectsForeignFiles) {
     std::remove(path.c_str());
     EXPECT_THROW(engine::ReplaySource{"/nonexistent/witrack.wtrk"},
                  std::runtime_error);
+}
+
+// Writes only a recording header, so a hostile count or rate is never
+// backed by data of the claimed size. num_rx positions follow only when
+// the count is small.
+void write_replay_header(const std::string& path, const FmcwParams& fmcw,
+                         std::uint64_t num_rx) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    common::write_raw(out, engine::kReplayMagic);
+    common::write_raw(out, engine::kReplayVersion);
+    for (const double v : {fmcw.start_frequency_hz, fmcw.bandwidth_hz,
+                           fmcw.sweep_duration_s, fmcw.sample_rate_hz,
+                           fmcw.tx_power_w})
+        common::write_raw(out, v);
+    common::write_raw(out, static_cast<std::uint64_t>(fmcw.sweeps_per_frame));
+    const auto array = geom::make_t_array({0, 0, 1.3}, 1.0);
+    common::write_vec3(out, array.tx);
+    common::write_vec3(out, array.boresight);
+    common::write_raw(out, num_rx);
+    for (std::uint64_t i = 0; i < num_rx && i < 16; ++i)
+        common::write_vec3(out, array.rx[i % array.rx.size()]);
+}
+
+TEST(Engine, ReplayRejectsHostileHeaders) {
+    const std::string path = temp_recording_path("witrack_hostile.wtrk");
+    write_replay_header(path, FmcwParams{}, 3);
+    EXPECT_NO_THROW(engine::ReplaySource{path});
+
+    // 2^40 receivers: rejected before array_.rx is sized from the count.
+    write_replay_header(path, FmcwParams{}, std::uint64_t{1} << 40);
+    EXPECT_THROW(engine::ReplaySource{path}, std::runtime_error);
+    // One receiver cannot localize: rejected here, not later by the Engine.
+    write_replay_header(path, FmcwParams{}, 1);
+    EXPECT_THROW(engine::ReplaySource{path}, std::runtime_error);
+
+    // NaN passes `<= 0`; 1e300 samples/s overflows the size_t cast. Both
+    // are FmcwParams::validate() failures, reported as runtime_error.
+    FmcwParams nan_rate;
+    nan_rate.sample_rate_hz = std::nan("");
+    write_replay_header(path, nan_rate, 3);
+    EXPECT_THROW(engine::ReplaySource{path}, std::runtime_error);
+
+    FmcwParams huge_rate;
+    huge_rate.sample_rate_hz = 1e300;
+    write_replay_header(path, huge_rate, 3);
+    EXPECT_THROW(engine::ReplaySource{path}, std::runtime_error);
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------- latency + history caps
